@@ -17,12 +17,13 @@ import numpy as np
 from .haar import McEstimate, haar_sample, scalar_mc
 from .linalg import DimensionMismatchError, max_abs, tensor
 from .qobj import (
-    PROB_ATOL,
     ChoiOp,
     Ppovm,
     QState,
     UnitaryOp,
+    clamp_probability,
     pair_output_vector,
+    ppovm_from_experiment,
 )
 from .symmetry import build_split
 
@@ -41,32 +42,33 @@ def success_bound(d: int) -> float:
     return (d + 1) / (2 * d)
 
 
-def _pair_dim(ppovm: Ppovm) -> int:
-    d = math.isqrt(ppovm.d_sys)
-    if d * d != ppovm.d_sys:
-        raise DimensionMismatchError(
-            f"comparison PPOVM needs a two-qudit system, got D={ppovm.d_sys}"
-        )
+def _pair_dim(d_sys: int) -> int:
+    d = math.isqrt(d_sys)
+    if d * d != d_sys:
+        raise DimensionMismatchError(f"comparison needs a two-qudit system, got D={d_sys}")
     return d
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """A comparison strategy: test state plus process POVM.
+    """A comparison strategy: test state xi plus one effect per outcome label.
 
-    effects holds the ancilla-free measurement realization (one positive
-    operator per label on the two-qudit output space) when the strategy has
-    the factorized form; it is None for hand-built custom PPOVMs.
+    The physical recipe: send xi through the two boxes, then measure the
+    effects on the two-qudit output.  ppovm is the same experiment's process
+    POVM, xi^T (x) F per label, built densely on demand.
     """
 
     kind: str
     xi: QState
-    ppovm: Ppovm
-    effects: dict[str, np.ndarray] | None = None
+    effects: dict[str, np.ndarray]
 
     @property
     def d(self) -> int:
-        return _pair_dim(self.ppovm)
+        return _pair_dim(self.xi.dim)
+
+    @property
+    def ppovm(self) -> Ppovm:
+        return ppovm_from_experiment(self.xi, self.effects)
 
     @property
     def m_diff(self) -> np.ndarray:
@@ -156,65 +158,53 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if max_abs(wrong @ xi.mat @ wrong) > SUPPORT_ATOL:
         raise ValueError(f"test state has support outside the {kind} subspace")
-    effects = {DIFF: f_diff, INCONCLUSIVE: f_inc}
-    elements = {label: tensor(xi.mat.T, f) for label, f in effects.items()}
-    return Strategy(kind=kind, xi=xi, ppovm=Ppovm(elements, xi), effects=effects)
+    return Strategy(kind=kind, xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
 
-def _clamped_probability(raw: float) -> float:
-    if raw < -PROB_ATOL or raw > 1.0 + PROB_ATOL:
-        raise ValueError(f"probability {raw} outside [0, 1] beyond tolerance")
-    return min(max(raw, 0.0), 1.0)
-
-
-def _pair_probability(m: np.ndarray, u: UnitaryOp, v: UnitaryOp) -> float:
-    # tr(omega_{U,V} M) evaluated as <w|M|w> with the rank-1 Choi vector w.
-    w = pair_output_vector(u, v)
-    if m.shape[0] != w.size:
-        raise DimensionMismatchError(f"element dim {m.shape[0]} vs channel pair dim {w.size}")
-    return _clamped_probability(float(np.vdot(w, m @ w).real))
+def _pair_output(xi: np.ndarray, u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
+    """(U (x) V) xi (U (x) V)^dagger: the test state after one pass through each box."""
+    uv = np.kron(u.mat, v.mat)
+    return uv @ xi @ uv.conj().T
 
 
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
-    """Exact outcome probabilities for the pair (U, V) plus one sampled verdict."""
+    """Exact outcome probabilities for the pair (U, V) plus one sampled verdict.
+
+    Each probability is tr(F (U (x) V) xi (U (x) V)^dagger), which equals
+    tr(omega_{U,V} (xi^T (x) F)) on the doubled space.
+    """
     if u.dim != strategy.d or v.dim != strategy.d:
         raise DimensionMismatchError(
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
-    p_diff = _pair_probability(strategy.m_diff, u, v)
-    p_inc = _pair_probability(strategy.m_inconclusive, u, v)
+    out = _pair_output(strategy.xi.mat, u, v)
+    p_diff, p_inc = (
+        clamp_probability(float(np.einsum("ij,ji->", out, strategy.effects[label]).real))
+        for label in (DIFF, INCONCLUSIVE)
+    )
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
     return ComparisonReport(p_diff=p_diff, p_inconclusive=p_inc, verdict=verdict, seed=seed)
 
 
 def average_success(strategy: Strategy) -> float:
-    """Average probability of detecting a difference: tr(M_diff) / d^2."""
+    """Average probability of detecting a difference: tr(M_diff) / d^2 = tr(F_diff) / d^2.
+
+    The two agree because tr(xi^T (x) F) = tr(xi) tr(F) and tr(xi) = 1.
+    """
     d = strategy.d
-    return float(np.trace(strategy.m_diff).real) / (d * d)
+    return float(np.trace(strategy.effects[DIFF]).real) / (d * d)
 
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
-    """Monte Carlo check of average_success over independent Haar pairs (U, V).
-
-    Factorized strategies are evaluated through their ancilla-free
-    realization (evolve xi, measure the effect), which is exactly equivalent
-    and avoids rebuilding the doubled-space Choi operator per sample.
-    """
+    """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = strategy.d
+    f_diff, xi = strategy.effects[DIFF], strategy.xi.mat
     samples = np.empty(n)
-    if strategy.effects is not None:
-        f_diff = strategy.effects[DIFF]
-        xi = strategy.xi.mat
-        for i in range(n):
-            uv = np.kron(haar_sample(d, rng).mat, haar_sample(d, rng).mat)
-            out = uv @ xi @ uv.conj().T
-            samples[i] = np.einsum("ij,ji->", out, f_diff).real
-    else:
-        m_diff = strategy.m_diff
-        for i in range(n):
-            samples[i] = _pair_probability(m_diff, haar_sample(d, rng), haar_sample(d, rng))
+    for i in range(n):
+        out = _pair_output(xi, haar_sample(d, rng), haar_sample(d, rng))
+        samples[i] = np.einsum("ij,ji->", out, f_diff).real
     return scalar_mc(samples)
 
 
@@ -232,14 +222,15 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     'diff' probability on n identical Haar pairs, and tr(M_same)/d^2 when a
     'same' element is present.  Reports rather than raises.
     """
-    d = _pair_dim(ppovm)
+    d = _pair_dim(ppovm.d_sys)
     m_diff = ppovm.elements[DIFF]
     omega_t = twirl_choi(d)
     twirl_residual = abs(float(np.einsum("ij,ji->", omega_t.mat, m_diff).real))
     haar_max = 0.0
     for _ in range(n_samples):
         u = haar_sample(d, rng)
-        haar_max = max(haar_max, abs(_pair_probability(m_diff, u, u)))
+        w = pair_output_vector(u, u)  # tr(omega_{U,U} M) = <w|M|w>
+        haar_max = max(haar_max, clamp_probability(float(np.vdot(w, m_diff @ w).real)))
     same_residual = None
     if SAME in ppovm.elements:
         same_residual = abs(float(np.trace(ppovm.elements[SAME]).real)) / (d * d)
@@ -313,7 +304,7 @@ def uniqueness_probe(
     structure and support residuals.  Callers should verify the no-error
     conditions first.
     """
-    d = _pair_dim(ppovm)
+    d = _pair_dim(ppovm.d_sys)
     split = build_split(d)
     m_diff = ppovm.elements[DIFF]
     rho_t = ppovm.rho.mat.T

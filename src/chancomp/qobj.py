@@ -76,7 +76,7 @@ class UnitaryOp:
         n = m.shape[0]
         if m.shape != (n, n):
             raise DimensionMismatchError(f"unitary must be square, got {m.shape}")
-        if max_abs(m.conj().T @ m - np.eye(n)) > HERM_ATOL:
+        if not (max_abs(m.conj().T @ m - np.eye(n)) <= HERM_ATOL):
             raise ValueError("operator is not unitary within tolerance")
         self.mat = m
 
@@ -218,16 +218,20 @@ def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
     return Ppovm(elements, xi)
 
 
-def outcome_probability(omega: ChoiOp, m) -> float:
-    """Probability tr(omega M) of a process-POVM element, clamped to [0, 1].
+def clamp_probability(p: float) -> float:
+    """A computed probability clamped to [0, 1].
 
-    Raw values outside [-PROB_ATOL, 1 + PROB_ATOL] indicate a construction
-    bug rather than rounding noise and raise instead of clamping.
+    Raw values outside [-PROB_ATOL, 1 + PROB_ATOL], and NaN, indicate a
+    construction bug rather than rounding noise and raise instead of clamping.
     """
+    if not (-PROB_ATOL <= p <= 1.0 + PROB_ATOL):
+        raise ValueError(f"probability {p} outside [0, 1] beyond tolerance")
+    return min(max(p, 0.0), 1.0)
+
+
+def outcome_probability(omega: ChoiOp, m) -> float:
+    """Probability tr(omega M) of a process-POVM element, clamped to [0, 1]."""
     m = as_matrix(m)
     if m.shape != omega.mat.shape:
         raise DimensionMismatchError(f"element shape {m.shape} vs Choi shape {omega.mat.shape}")
-    p = trace_product(omega.mat, m).real
-    if p < -PROB_ATOL or p > 1.0 + PROB_ATOL:
-        raise ValueError(f"probability {p} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+    return clamp_probability(trace_product(omega.mat, m).real)

@@ -15,8 +15,6 @@ import numpy as np
 from .linalg import max_abs
 from .qobj import QState
 
-SUPPORT_ATOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SymmetrySplit:

@@ -72,6 +72,22 @@ def test_compare_exit_codes(tmp_path):
     assert main(["compare", "--d", "2", "--u", "identity"]) == 2  # missing --v
 
 
+def test_non_finite_gate_files_rejected(tmp_path, capsys):
+    for name, entry, rows in (("nan", float("nan"), 2), ("inf", float("inf"), 2),
+                              ("inf_rows", 1.0, float("inf"))):
+        mat = matrix_to_json(np.eye(2))
+        mat["data"][0] = [entry, 0.0]
+        mat["rows"] = rows
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(mat))  # writes the NaN / Infinity literals
+        for argv in (["compare", "--d", "2", "--u", f"@{path}", "--v", "identity"],
+                     ["witness", "--d", "2", "--w", f"@{path}", "--r", "pauli-z"]):
+            assert main(argv) == 2, (name, argv[0])
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_success_table_values(tmp_path):
     rc, payload = run_json(
         tmp_path,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chancomp.comparator import (
-    Strategy,
     average_success,
     average_success_mc,
     identity_phase_gap,
@@ -20,8 +19,15 @@ from chancomp.comparator import (
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import DimensionMismatchError, is_psd, max_abs, tensor, trace_product
-from chancomp.qobj import Ppovm, QState, UnitaryOp, choi_of_unitary, choi_of_unitary_pair
+from chancomp.linalg import DimensionMismatchError, is_psd, max_abs, tensor
+from chancomp.qobj import (
+    Ppovm,
+    QState,
+    UnitaryOp,
+    choi_of_unitary,
+    choi_of_unitary_pair,
+    outcome_probability,
+)
 from chancomp.symmetry import (
     build_split,
     random_antisymmetric_state,
@@ -118,10 +124,10 @@ def test_make_strategy_rejects_support_mismatch():
 
 
 def test_run_pair_no_error_on_identical_channels():
-    # Both named strategies are unambiguous: identical channels never
-    # trigger the conclusive outcome.
+    # Both named strategies are unambiguous: identical channels, also up to
+    # a global phase, never trigger the conclusive outcome.
     rng = np.random.default_rng(42)
-    for d in (2, 3):
+    for d in (2, 3, 4):
         strategies = [
             make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng)),
             make_strategy("symmetric", random_symmetric_state(d, "mixed", rng)),
@@ -129,7 +135,9 @@ def test_run_pair_no_error_on_identical_channels():
         for strategy in strategies:
             for _ in range(50):
                 u = haar_sample(d, rng)
+                phased = UnitaryOp(np.exp(1j * rng.uniform(0, 2 * np.pi)) * u.mat)
                 assert run_pair(strategy, u, u).p_diff <= 1e-10
+                assert run_pair(strategy, u, phased).p_diff <= 1e-10
 
 
 def test_inconclusive_element_is_psd():
@@ -171,13 +179,24 @@ def test_run_pair_closed_form_general_pairs():
 
 
 def test_run_pair_matches_explicit_choi_trace():
+    # Differential test: the factorised probabilities against the dense
+    # process-POVM elements built by strategy.ppovm.
     rng = np.random.default_rng(45)
-    for d in (2, 3):
-        strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "pure", rng))
-        u, v = haar_sample(d, rng), haar_sample(d, rng)
-        omega = choi_of_unitary_pair(u, v)
-        direct = trace_product(omega.mat, strategy.m_diff).real
-        assert abs(run_pair(strategy, u, v).p_diff - direct) <= 1e-10
+    for d in (2, 3, 4):
+        for kind, sampler in (("antisym_optimal", random_antisymmetric_state),
+                              ("symmetric", random_symmetric_state)):
+            for purity in ("pure", "mixed"):
+                strategy = make_strategy(kind, sampler(d, purity, rng))
+                elements = strategy.ppovm.elements
+                assert abs(average_success(strategy)
+                           - np.trace(elements["diff"]).real / (d * d)) <= 1e-12
+                for _ in range(3):
+                    u, v = haar_sample(d, rng), haar_sample(d, rng)
+                    omega = choi_of_unitary_pair(u, v)
+                    report = run_pair(strategy, u, v)
+                    assert abs(report.p_diff - outcome_probability(omega, elements["diff"])) <= 1e-12
+                    assert abs(report.p_inconclusive
+                               - outcome_probability(omega, elements["inconclusive"])) <= 1e-12
 
 
 def test_run_pair_dimension_mismatch():
@@ -214,11 +233,6 @@ def test_average_success_mc_agrees_with_analytic():
     rng = np.random.default_rng(49)
     strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(2))
     est = average_success_mc(strategy, 3000, rng)
-    assert abs(est.mean - 0.75) <= 5 * est.std_error
-
-    # Choi-path fallback used by custom strategies must agree as well.
-    custom = Strategy(kind="custom", xi=strategy.xi, ppovm=strategy.ppovm, effects=None)
-    est = average_success_mc(custom, 1500, rng)
     assert abs(est.mean - 0.75) <= 5 * est.std_error
 
 

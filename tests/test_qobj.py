@@ -196,6 +196,8 @@ def test_outcome_probability_rejects_out_of_range():
     omega = choi_of_unitary_pair(eye, eye)
     with pytest.raises(ValueError):
         outcome_probability(omega, -0.5 * np.eye(16))
+    with pytest.raises(ValueError):
+        outcome_probability(omega, np.full((16, 16), np.nan))
     with pytest.raises(DimensionMismatchError):
         outcome_probability(omega, np.eye(4))
 
