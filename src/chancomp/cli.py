@@ -37,11 +37,9 @@ from .comparator import (
     twirl_choi,
 )
 from .haar import haar_sample, twirl_exact, twirl_mc
-from .linalg import DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
+from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary, pair_output_vector
 from .symmetry import build_split, uniform_antisymmetric_state, uniform_symmetric_state
-
-BOUND_SLACK = 1e-9
 
 
 class UsageError(Exception):
@@ -115,8 +113,11 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
                 writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -171,7 +172,7 @@ def cmd_bound_scan(args) -> int:
         ppovm = random_unambiguous_ppovm(d, rng)
         success = float(np.trace(ppovm.elements["diff"]).real) / (d * d)
         max_success = max(max_success, success)
-        if success > bound + BOUND_SLACK:
+        if not (success <= bound + SUM_ATOL):
             violations += 1
     rows = [
         {
@@ -187,7 +188,7 @@ def cmd_bound_scan(args) -> int:
     _emit(payload, rows, args)
     if violations:
         raise InvariantViolation(
-            f"{violations} draw(s) exceeded the success bound {bound} by more than {BOUND_SLACK}"
+            f"{violations} draw(s) exceeded the success bound {bound} by more than {SUM_ATOL}"
         )
     return 0
 
@@ -272,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_d:
             p.add_argument("--d", type=int, default=2, help="qudit dimension (>= 2)")
         p.add_argument("--n", type=int, default=10000, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output")
-        p.add_argument("--eta-same", dest="eta_same", type=float, default=None,
-                       help="prior probability that the channels are the same, in (0, 1)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output (>= 0)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -286,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("success-table", help="success probabilities for a range of dimensions")
     add_common(p, with_d=False)
+    p.add_argument("--eta-same", dest="eta_same", type=float, default=None,
+                   help="prior probability that the channels are the same, in (0, 1)")
     p.add_argument("--d-min", dest="d_min", type=int, default=2)
     p.add_argument("--d-max", dest="d_max", type=int, default=6)
     p.set_defaults(func=cmd_success_table)
@@ -311,7 +312,9 @@ def _validate_common(args) -> None:
         raise UsageError(f"--d must be >= 2, got {args.d}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.eta_same is not None and not 0.0 < args.eta_same < 1.0:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if getattr(args, "eta_same", None) is not None and not 0.0 < args.eta_same < 1.0:
         raise UsageError(f"--eta-same must lie strictly in (0, 1), got {args.eta_same}")
 
 

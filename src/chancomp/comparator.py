@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import McEstimate, haar_sample, scalar_mc
-from .linalg import DimensionMismatchError, max_abs, tensor
+from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
 from .qobj import (
     ChoiOp,
     Ppovm,
@@ -26,11 +26,6 @@ from .qobj import (
     ppovm_from_experiment,
 )
 from .symmetry import build_split
-
-SUPPORT_ATOL = 1e-10
-SUCCESS_TOL = 1e-9
-STRUCT_TOL = 1e-6
-IDENTITY_GAP = 1e-6
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -69,14 +64,6 @@ class Strategy:
     @property
     def ppovm(self) -> Ppovm:
         return ppovm_from_experiment(self.xi, self.effects)
-
-    @property
-    def m_diff(self) -> np.ndarray:
-        return self.ppovm.elements[DIFF]
-
-    @property
-    def m_inconclusive(self) -> np.ndarray:
-        return self.ppovm.elements[INCONCLUSIVE]
 
 
 @dataclass(frozen=True)
@@ -156,7 +143,7 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
         wrong, f_diff, f_inc = split.p_minus, split.p_minus, split.p_plus
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    if max_abs(wrong @ xi.mat @ wrong) > SUPPORT_ATOL:
+    if not (max_abs(wrong @ xi.mat @ wrong) <= ATOL):
         raise ValueError(f"test state has support outside the {kind} subspace")
     return Strategy(kind=kind, xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
@@ -242,17 +229,17 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     )
 
 
-def max_psd_scale(base: np.ndarray, k: np.ndarray, eig_tol: float = 1e-10, width_tol: float = 1e-10) -> float:
-    """Largest s such that base - s*k stays PSD within eig_tol, by bisection.
+def max_psd_scale(base: np.ndarray, k: np.ndarray) -> float:
+    """Largest s such that base - s*k stays PSD within ATOL, by bisection to width ATOL.
 
     k must have unit spectral norm and base spectral norm at most 1 so that
     s = 2 is always infeasible; the returned value was explicitly verified
     feasible.
     """
     lo, hi = 0.0, 2.0
-    while hi - lo > width_tol:
+    while not (hi - lo <= ATOL):
         mid = (lo + hi) / 2
-        if float(np.linalg.eigvalsh(base - mid * k)[0]) >= -eig_tol:
+        if float(np.linalg.eigvalsh(base - mid * k)[0]) >= -ATOL:
             lo = mid
         else:
             hi = mid
@@ -294,9 +281,7 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
     return Ppovm({DIFF: m_diff, INCONCLUSIVE: base - m_diff}, rho)
 
 
-def uniqueness_probe(
-    ppovm: Ppovm, success_tol: float = SUCCESS_TOL, struct_tol: float = STRUCT_TOL
-) -> UniquenessProbe:
+def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
     """Test whether a no-error PPOVM has the unique bound-saturating structure.
 
     Saturation forces M_diff = rho^T (x) P+ with rho supported on the
@@ -314,9 +299,9 @@ def uniqueness_probe(
     support_residual = max_abs(split.p_plus @ rho_t @ split.p_plus)
 
     ok = (
-        success_residual <= success_tol
-        and struct_residual <= struct_tol
-        and support_residual <= struct_tol
+        success_residual <= SUM_ATOL
+        and struct_residual <= STRUCT_ATOL
+        and support_residual <= STRUCT_ATOL
     )
     return UniquenessProbe(
         optimal_form=ok,
@@ -339,6 +324,6 @@ def sequential_witness(w: UnitaryOp, r: UnitaryOp) -> tuple[UnitaryOp, UnitaryOp
     """
     if w.dim != r.dim:
         raise DimensionMismatchError(f"dims {w.dim} and {r.dim} differ")
-    if identity_phase_gap(r) <= IDENTITY_GAP:
+    if identity_phase_gap(r) <= STRUCT_ATOL:
         raise ValueError("r equals the identity up to a global phase")
     return UnitaryOp(w.mat @ r.mat), UnitaryOp(r.mat.conj().T @ w.mat)

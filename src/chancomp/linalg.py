@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default tolerance for algebraic identities such as Hermiticity.  Double
-# precision leaves ample headroom for the matrix sizes handled here (up to
-# 1296 dims).
-ATOL_ALGEBRA = 1e-10
+# The tolerance ladder.  Every absolute-error check in the package compares
+# against one of these rungs in a NaN-safe form, `not (err <= TOL)`, so a NaN
+# error fails the check.  Double precision leaves ample headroom for the
+# matrix sizes handled here (up to 1296 dims).
+ATOL = 1e-10  # one identity: Hermiticity, unitarity, unit trace, PSD, support, probability range
+SUM_ATOL = 1e-9  # sums of elements: POVM/PPOVM normalisation, success vs the (d+1)/(2d) bound
+CHOI_TRACE_ATOL = 1e-8  # trace of a Choi operator, which grows with the dimension
+STRUCT_ATOL = 1e-6  # structural matches: optimal-form residuals, gap to a multiple of the identity
 
 
 class DimensionMismatchError(ValueError):
@@ -37,49 +41,23 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def transpose_comp_basis(a) -> np.ndarray:
-    """Entrywise transpose in the computational basis (no conjugation)."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"transpose expects a square matrix, got {m.shape}")
-    return m.T.copy()
-
-
 def max_abs(a) -> float:
     """Largest entrywise modulus."""
     return float(np.abs(np.asarray(a)).max())
 
 
-def is_hermitian(a, tol: float = ATOL_ALGEBRA) -> bool:
-    """Entrywise check of A against its conjugate transpose."""
+def is_hermitian(a) -> bool:
+    """Entrywise check of A against its conjugate transpose, within ATOL."""
     m = as_matrix(a)
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
+    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= ATOL
 
 
-def eig_hermitian(a, tol: float = ATOL_ALGEBRA) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns real eigenvalues in ascending order and the matrix whose columns
-    are the matching orthonormal eigenvectors.
-    """
+def is_psd(a) -> bool:
+    """True iff the Hermitian input has minimum eigenvalue >= -ATOL."""
     m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
-
-def is_psd(a, tol: float) -> bool:
-    """True iff the Hermitian input has minimum eigenvalue >= -tol."""
-    m = as_matrix(a)
-    if not is_hermitian(m, ATOL_ALGEBRA):
+    if not is_hermitian(m):
         raise ValueError("is_psd requires a Hermitian matrix")
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol
+    return float(np.linalg.eigvalsh(m)[0]) >= -ATOL
 
 
 def trace_product(a, b) -> complex:
@@ -88,39 +66,6 @@ def trace_product(a, b) -> complex:
     if ma.shape[1] != mb.shape[0] or ma.shape[0] != mb.shape[1]:
         raise DimensionMismatchError(f"trace_product shapes {ma.shape} x {mb.shape}")
     return complex(np.einsum("ij,ji->", ma, mb))
-
-
-def partial_trace(a, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in keep.
-
-    dims lists the subsystem dimensions in tensor order; keep lists the
-    (0-based) factor indices retained in the result, in their original order.
-    """
-    m = as_matrix(a)
-    dims = [int(d) for d in dims]
-    n = int(np.prod(dims))
-    if m.shape != (n, n):
-        raise DimensionMismatchError(f"matrix shape {m.shape} inconsistent with dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
-    if len(keep) == len(dims):
-        return m.copy()
-
-    k = len(dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * k > len(letters):
-        raise ValueError("too many tensor factors")
-    row = letters[:k]
-    col = [letters[k + i] for i in range(k)]
-    for i in range(k):
-        if i not in keep:
-            col[i] = row[i]  # repeated index contracts the traced factor
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    t = m.reshape(dims + dims)
-    contracted = np.einsum(f"{row}{''.join(col)}->{out}", t)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return contracted.reshape(d_keep, d_keep)
 
 
 def matrix_to_json(a) -> dict:

@@ -18,31 +18,24 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    ATOL,
+    CHOI_TRACE_ATOL,
+    SUM_ATOL,
     DimensionMismatchError,
     as_matrix,
     is_hermitian,
     is_psd,
-    matrix_from_json,
-    matrix_to_json,
     max_abs,
     tensor,
     trace_product,
 )
-
-HERM_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
-CHOI_TRACE_ATOL = 1e-8
-POVM_SUM_ATOL = 1e-9
-PROB_ATOL = 1e-10
 
 
 class QState:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
     dim_factors records the tensor-product structure of the carrier space
-    (defaults to a single factor) and is used by callers that reshape or
-    partially trace the state.
+    (defaults to a single factor).
     """
 
     def __init__(self, mat, dim_factors: list[int] | None = None):
@@ -54,11 +47,11 @@ class QState:
             dim_factors = [n]
         if int(np.prod(dim_factors)) != n:
             raise DimensionMismatchError(f"dim_factors {dim_factors} inconsistent with dim {n}")
-        if not is_hermitian(m, HERM_ATOL):
+        if not is_hermitian(m):
             raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
+        if not (abs(np.trace(m).real - 1.0) <= ATOL and abs(np.trace(m).imag) <= ATOL):
             raise ValueError(f"density operator has trace {np.trace(m)}, expected 1")
-        if not is_psd(m, PSD_ATOL):
+        if not is_psd(m):
             raise ValueError("density operator is not positive semidefinite")
         self.mat = m
         self.dim_factors = [int(d) for d in dim_factors]
@@ -76,7 +69,7 @@ class UnitaryOp:
         n = m.shape[0]
         if m.shape != (n, n):
             raise DimensionMismatchError(f"unitary must be square, got {m.shape}")
-        if not (max_abs(m.conj().T @ m - np.eye(n)) <= HERM_ATOL):
+        if not (max_abs(m.conj().T @ m - np.eye(n)) <= ATOL):
             raise ValueError("operator is not unitary within tolerance")
         self.mat = m
 
@@ -95,11 +88,11 @@ class ChoiOp:
             raise DimensionMismatchError(
                 f"Choi operator for D={d_sys} must be {d_sys * d_sys} dimensional, got {m.shape}"
             )
-        if not is_hermitian(m, HERM_ATOL):
+        if not is_hermitian(m):
             raise ValueError("Choi operator is not Hermitian")
-        if not is_psd(m, PSD_ATOL):
+        if not is_psd(m):
             raise ValueError("Choi operator is not positive semidefinite")
-        if abs(np.trace(m).real - d_sys) > CHOI_TRACE_ATOL:
+        if not (abs(np.trace(m).real - d_sys) <= CHOI_TRACE_ATOL):
             raise ValueError(f"Choi operator has trace {np.trace(m).real}, expected {d_sys}")
         self.mat = m
         self.d_sys = d_sys
@@ -122,12 +115,12 @@ class Ppovm:
                 raise DimensionMismatchError(
                     f"element {label!r} has shape {m.shape}, expected {(d * d, d * d)}"
                 )
-            if not is_psd(m, PSD_ATOL):
+            if not is_psd(m):
                 raise ValueError(f"element {label!r} is not positive semidefinite")
             elems[label] = m
             total = total + m
         expected = tensor(rho.mat.T, np.eye(d))
-        if max_abs(total - expected) > POVM_SUM_ATOL:
+        if not (max_abs(total - expected) <= SUM_ATOL):
             raise ValueError("elements do not sum to rho^T (x) identity")
         self.elements = elems
         self.rho = rho
@@ -135,18 +128,6 @@ class Ppovm:
     @property
     def d_sys(self) -> int:
         return self.rho.dim
-
-    def to_json(self) -> dict:
-        return {
-            "rho": matrix_to_json(self.rho.mat),
-            "elements": {label: matrix_to_json(m) for label, m in self.elements.items()},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Ppovm":
-        rho = QState(matrix_from_json(obj["rho"]))
-        elements = {label: matrix_from_json(m) for label, m in obj["elements"].items()}
-        return cls(elements, rho)
 
 
 def max_entangled_vec(dim: int) -> np.ndarray:
@@ -177,23 +158,21 @@ def choi_of_unitary(u: UnitaryOp) -> ChoiOp:
     return ChoiOp(np.outer(w, w.conj()), u.dim)
 
 
+def pair_output_vector(u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
+    """The pure output vector whose projector is choi_of_unitary_pair(u, v)."""
+    if u.dim != v.dim:
+        raise DimensionMismatchError(f"unitary dims {u.dim} and {v.dim} differ")
+    return _pair_output_vec(np.kron(u.mat, v.mat))
+
+
 def choi_of_unitary_pair(u: UnitaryOp, v: UnitaryOp) -> ChoiOp:
     """Choi operator of the product channel applying U and V to the two qudits.
 
     Rank 1 with trace d^2; the channel acts on legs (3,4) while legs (1,2)
     hold the reference copy.
     """
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"unitary dims {u.dim} and {v.dim} differ")
-    w = _pair_output_vec(np.kron(u.mat, v.mat))
+    w = pair_output_vector(u, v)
     return ChoiOp(np.outer(w, w.conj()), u.dim * v.dim)
-
-
-def pair_output_vector(u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
-    """The pure output vector whose projector is choi_of_unitary_pair(u, v)."""
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"unitary dims {u.dim} and {v.dim} differ")
-    return _pair_output_vec(np.kron(u.mat, v.mat))
 
 
 def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
@@ -209,10 +188,10 @@ def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
         f = as_matrix(f)
         if f.shape != (d, d):
             raise DimensionMismatchError(f"effect {label!r} has shape {f.shape}, expected {(d, d)}")
-        if not is_psd(f, PSD_ATOL):
+        if not is_psd(f):
             raise ValueError(f"effect {label!r} is not positive semidefinite")
         total = total + f
-    if max_abs(total - np.eye(d)) > POVM_SUM_ATOL:
+    if not (max_abs(total - np.eye(d)) <= SUM_ATOL):
         raise ValueError("effects do not sum to the identity")
     elements = {label: tensor(xi.mat.T, as_matrix(f)) for label, f in effects.items()}
     return Ppovm(elements, xi)
@@ -221,10 +200,10 @@ def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
 def clamp_probability(p: float) -> float:
     """A computed probability clamped to [0, 1].
 
-    Raw values outside [-PROB_ATOL, 1 + PROB_ATOL], and NaN, indicate a
-    construction bug rather than rounding noise and raise instead of clamping.
+    Raw values outside [-ATOL, 1 + ATOL], and NaN, indicate a construction
+    bug rather than rounding noise and raise instead of clamping.
     """
-    if not (-PROB_ATOL <= p <= 1.0 + PROB_ATOL):
+    if not (-ATOL <= p <= 1.0 + ATOL):
         raise ValueError(f"probability {p} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs
 from .qobj import QState
 
 
@@ -121,9 +120,3 @@ def uniform_symmetric_state(d: int) -> QState:
     """Maximally mixed state on the symmetric subspace."""
     split = build_split(d)
     return QState(split.p_plus / split.dim_plus, [d, d])
-
-
-def support_mismatch(state: QState, projector: np.ndarray) -> float:
-    """Max-norm of the state component outside the projector's range."""
-    m = state.mat
-    return max_abs(m - projector @ m @ projector)

@@ -84,7 +84,7 @@ def test_criterion_3_no_error_conditions():
         for d in (2, 3, 4):
             strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
             omega_t = twirl_choi(d)
-            assert abs(trace_product(omega_t.mat, strategy.m_diff).real) <= 1e-10
+            assert abs(trace_product(omega_t.mat, strategy.ppovm.elements["diff"]).real) <= 1e-10
             for _ in range(100):
                 u = haar_sample(d, rng)
                 assert run_pair(strategy, u, u).p_diff <= 1e-10

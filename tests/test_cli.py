@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import chancomp
 from chancomp.cli import main, resolve_gate
 from chancomp.linalg import matrix_to_json, max_abs
 
@@ -86,6 +89,33 @@ def test_non_finite_gate_files_rejected(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_seed_rejected(capsys):
+    for argv in (["compare", "--d", "2", "--u", "identity", "--v", "pauli-x"],
+                 ["success-table", "--d-min", "2", "--d-max", "2"],
+                 ["bound-scan", "--d", "2"],
+                 ["twirl-verify", "--d", "2"],
+                 ["witness", "--d", "2", "--w", "hadamard", "--r", "pauli-z"]):
+        assert main(argv + ["--n", "5", "--seed", "-1"]) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err and "Traceback" not in err
+
+
+def test_unwritable_out_rejected(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    assert main(["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_eta_same_only_on_success_table(capsys):
+    assert main(["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--eta-same", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--eta-same" in err
 
 
 def test_success_table_values(tmp_path):
@@ -192,10 +222,13 @@ def test_witness(tmp_path):
 
 
 def test_console_entry_point():
+    # The child imports the same chancomp as this process, installed or not.
+    src = str(Path(chancomp.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "chancomp.cli", "compare", "--d", "2", "--u", "identity", "--v", "pauli-y"],
         capture_output=True,
         text=True,
+        env=os.environ | {"PYTHONPATH": src},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

@@ -19,7 +19,7 @@ from chancomp.comparator import (
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import DimensionMismatchError, is_psd, max_abs, tensor
+from chancomp.linalg import DimensionMismatchError, max_abs, tensor
 from chancomp.qobj import (
     Ppovm,
     QState,
@@ -100,9 +100,10 @@ def test_identical_pair_choi_supported_inside_twirl_choi():
 def test_make_strategy_qubit_optimal():
     strategy = make_strategy("antisym_optimal", QState(SINGLET, [2, 2]))
     split = build_split(2)
-    assert max_abs(strategy.m_diff - tensor(SINGLET.T, split.p_plus)) <= 1e-12
-    assert max_abs(strategy.m_inconclusive - tensor(SINGLET.T, split.p_minus)) <= 1e-12
-    assert set(strategy.ppovm.elements) == {"diff", "inconclusive"}  # no 'same' element
+    elements = strategy.ppovm.elements
+    assert max_abs(elements["diff"] - tensor(SINGLET.T, split.p_plus)) <= 1e-12
+    assert max_abs(elements["inconclusive"] - tensor(SINGLET.T, split.p_minus)) <= 1e-12
+    assert set(elements) == {"diff", "inconclusive"}  # no 'same' element
 
 
 def test_make_strategy_symmetric_product_state():
@@ -145,9 +146,10 @@ def test_inconclusive_element_is_psd():
     rng = np.random.default_rng(41)
     for d in (2, 3):
         strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
-        complement = tensor(strategy.xi.mat.T, np.eye(d * d)) - strategy.m_diff
-        assert is_psd(complement, 1e-9)
-        assert max_abs(complement - strategy.m_inconclusive) <= 1e-12
+        elements = strategy.ppovm.elements
+        complement = tensor(strategy.xi.mat.T, np.eye(d * d)) - elements["diff"]
+        assert np.linalg.eigvalsh(complement)[0] >= -1e-9
+        assert max_abs(complement - elements["inconclusive"]) <= 1e-12
 
 
 def test_run_pair_qubit_values():

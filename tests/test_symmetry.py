@@ -9,7 +9,6 @@ from chancomp.symmetry import (
     build_split,
     random_antisymmetric_state,
     random_symmetric_state,
-    support_mismatch,
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
@@ -111,10 +110,10 @@ def test_sampler_support():
         for purity in ("pure", "mixed"):
             anti = random_antisymmetric_state(d, purity, rng)
             assert max_abs(split.p_plus @ anti.mat @ split.p_plus) <= 1e-10
-            assert support_mismatch(anti, split.p_minus) <= 1e-10
+            assert max_abs(anti.mat - split.p_minus @ anti.mat @ split.p_minus) <= 1e-10
             sym = random_symmetric_state(d, purity, rng)
             assert max_abs(split.p_minus @ sym.mat @ split.p_minus) <= 1e-10
-            assert support_mismatch(sym, split.p_plus) <= 1e-10
+            assert max_abs(sym.mat - split.p_plus @ sym.mat @ split.p_plus) <= 1e-10
 
 
 def test_antisymmetric_pure_states_are_entangled():
