@@ -36,7 +36,7 @@ from .comparator import (
     success_bound,
     twirl_choi,
 )
-from .haar import haar_sample, twirl_exact, twirl_mc
+from .haar import _mc_mean, haar_sample, twirl_exact, twirl_mc
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary, pair_output_vector
 from .symmetry import build_split, uniform_antisymmetric_state, uniform_symmetric_state
@@ -221,14 +221,13 @@ def cmd_twirl_verify(args) -> int:
         rows.append({"check": f"mc_vs_exact[{name}]", "residual": float(dev)})
 
     # Choi-side cross-check: the average of identical-pair Choi operators.
-    acc = np.zeros((dd * dd, dd * dd), dtype=complex)
-    for _ in range(args.n):
+    def pair_choi():
         u = haar_sample(d, rng)
         w = pair_output_vector(u, u)
-        acc += np.outer(w, w.conj())
-    rows.append(
-        {"check": "pair_choi_mc_vs_twirl_choi", "residual": float(max_abs(acc / args.n - twirl_choi(d).mat))}
-    )
+        return np.outer(w, w.conj())
+
+    dev = max_abs(_mc_mean(pair_choi, args.n).mean - twirl_choi(d).mat)
+    rows.append({"check": "pair_choi_mc_vs_twirl_choi", "residual": float(dev)})
 
     once = twirl_exact(herm)
     rows.append({"check": "exact_idempotent", "residual": float(max_abs(twirl_exact(once) - once))})
@@ -312,6 +311,8 @@ def _validate_common(args) -> None:
         raise UsageError(f"--d must be >= 2, got {args.d}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.n < 2 and args.command in ("success-table", "twirl-verify"):
+        raise UsageError(f"{args.command} needs --n >= 2 for a standard error, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "eta_same", None) is not None and not 0.0 < args.eta_same < 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, haar_sample, scalar_mc
+from .haar import McEstimate, _mc_mean, haar_sample
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
 from .qobj import (
     ChoiOp,
@@ -25,7 +25,7 @@ from .qobj import (
     pair_output_vector,
     ppovm_from_experiment,
 )
-from .symmetry import build_split
+from .symmetry import build_split, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -37,13 +37,6 @@ def success_bound(d: int) -> float:
     return (d + 1) / (2 * d)
 
 
-def _pair_dim(d_sys: int) -> int:
-    d = math.isqrt(d_sys)
-    if d * d != d_sys:
-        raise DimensionMismatchError(f"comparison needs a two-qudit system, got D={d_sys}")
-    return d
-
-
 @dataclass(frozen=True)
 class Strategy:
     """A comparison strategy: test state xi plus one effect per outcome label.
@@ -53,13 +46,12 @@ class Strategy:
     POVM, xi^T (x) F per label, built densely on demand.
     """
 
-    kind: str
     xi: QState
     effects: dict[str, np.ndarray]
 
     @property
     def d(self) -> int:
-        return _pair_dim(self.xi.dim)
+        return qudit_dim(self.xi.dim)
 
     @property
     def ppovm(self) -> Ppovm:
@@ -133,10 +125,7 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
     effect (conclusive on P+); 'symmetric' swaps the roles.  The test state
     must be supported on the matching subspace.
     """
-    d = math.isqrt(xi.dim)
-    if d * d != xi.dim or d < 2:
-        raise DimensionMismatchError(f"test state must live on two qudits, got dim {xi.dim}")
-    split = build_split(d)
+    split = build_split(qudit_dim(xi.dim))
     if kind == "antisym_optimal":
         wrong, f_diff, f_inc = split.p_plus, split.p_plus, split.p_minus
     elif kind == "symmetric":
@@ -145,7 +134,7 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if not (max_abs(wrong @ xi.mat @ wrong) <= ATOL):
         raise ValueError(f"test state has support outside the {kind} subspace")
-    return Strategy(kind=kind, xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
+    return Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
 
 def _pair_output(xi: np.ndarray, u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
@@ -184,15 +173,14 @@ def average_success(strategy: Strategy) -> float:
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     d = strategy.d
     f_diff, xi = strategy.effects[DIFF], strategy.xi.mat
-    samples = np.empty(n)
-    for i in range(n):
+
+    def sample():
         out = _pair_output(xi, haar_sample(d, rng), haar_sample(d, rng))
-        samples[i] = np.einsum("ij,ji->", out, f_diff).real
-    return scalar_mc(samples)
+        return np.einsum("ij,ji->", out, f_diff).real
+
+    return _mc_mean(sample, n)
 
 
 def overall_success(strategy: Strategy, eta_same: float) -> float:
@@ -209,7 +197,7 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     'diff' probability on n identical Haar pairs, and tr(M_same)/d^2 when a
     'same' element is present.  Reports rather than raises.
     """
-    d = _pair_dim(ppovm.d_sys)
+    d = qudit_dim(ppovm.d_sys)
     m_diff = ppovm.elements[DIFF]
     omega_t = twirl_choi(d)
     twirl_residual = abs(float(np.einsum("ij,ji->", omega_t.mat, m_diff).real))
@@ -289,7 +277,7 @@ def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
     structure and support residuals.  Callers should verify the no-error
     conditions first.
     """
-    d = _pair_dim(ppovm.d_sys)
+    d = qudit_dim(ppovm.d_sys)
     split = build_split(d)
     m_diff = ppovm.elements[DIFF]
     rho_t = ppovm.rho.mat.T

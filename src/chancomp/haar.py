@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, as_matrix
 from .qobj import UnitaryOp
-from .symmetry import build_split
+from .symmetry import build_split, qudit_dim
 
 
 @dataclass(frozen=True)
@@ -49,53 +49,53 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
     return UnitaryOp(q)
 
 
-class _MatrixAccumulator:
-    """Running elementwise mean and standard error over matrix samples."""
+def _mc_mean(sample, n: int) -> McEstimate:
+    """Mean of n draws of sample() with its standard error, streamed (elementwise for matrices).
 
-    def __init__(self, shape):
-        self._sum = np.zeros(shape, dtype=complex)
-        self._sum_sq = np.zeros(shape, dtype=float)
-        self._n = 0
+    Keeps a running sum and a running sum of |x|^2; the variance takes the
+    n - 1 denominator, so at least two draws are needed.  The first draw
+    becomes the running sum, so sample() must return a fresh value on each
+    call.  This is the one Monte Carlo estimator behind every Haar average
+    in the package.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2 for a standard error, got {n}")
+    # Builtin abs is numpy's elementwise abs on arrays and avoids a ufunc call on scalars.
+    total = sample()
+    total_sq = abs(total) ** 2
+    for _ in range(n - 1):
+        x = sample()
+        total += x
+        total_sq += abs(x) ** 2
+    mean = total / n
+    var = np.maximum(total_sq - n * abs(mean) ** 2, 0.0) / (n - 1)
+    return McEstimate(mean=mean, n_samples=n, std_error=np.sqrt(var / n))
 
-    def add(self, sample: np.ndarray) -> None:
-        self._sum += sample
-        self._sum_sq += np.abs(sample) ** 2
-        self._n += 1
 
-    def estimate(self) -> McEstimate:
-        mean = self._sum / self._n
-        var = np.maximum(self._sum_sq / self._n - np.abs(mean) ** 2, 0.0)
-        return McEstimate(mean=mean, n_samples=self._n, std_error=np.sqrt(var / self._n))
+def _square(x) -> np.ndarray:
+    m = as_matrix(x)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected square matrix, got {m.shape}")
+    return m
 
 
 def average_channel_exact(x) -> np.ndarray:
     """Haar average of U X U^dagger: tr(X)/d times the identity."""
-    m = as_matrix(x)
+    m = _square(x)
     d = m.shape[0]
-    if m.shape != (d, d):
-        raise DimensionMismatchError(f"expected square matrix, got {m.shape}")
     return np.trace(m) / d * np.eye(d, dtype=complex)
 
 
 def average_channel_mc(x, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo estimate of the Haar average of U X U^dagger."""
-    m = as_matrix(x)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    m = _square(x)
     d = m.shape[0]
-    acc = _MatrixAccumulator(m.shape)
-    for _ in range(n):
+
+    def sample():
         u = haar_sample(d, rng).mat
-        acc.add(u @ m @ u.conj().T)
-    return acc.estimate()
+        return u @ m @ u.conj().T
 
-
-def _split_dim(y: np.ndarray) -> int:
-    n = y.shape[0]
-    d = math.isqrt(n)
-    if y.shape != (n, n) or d * d != n:
-        raise DimensionMismatchError(f"twirl expects a square matrix on d*d dims, got {y.shape}")
-    return d
+    return _mc_mean(sample, n)
 
 
 def twirl_exact(y) -> np.ndarray:
@@ -104,9 +104,8 @@ def twirl_exact(y) -> np.ndarray:
     The image is tr(Y P+)/d+ P+ + tr(Y P-)/d- P-; the expression is linear,
     so it applies to arbitrary (not only selfadjoint) operators.
     """
-    m = as_matrix(y)
-    d = _split_dim(m)
-    split = build_split(d)
+    m = _square(y)
+    split = build_split(qudit_dim(m.shape[0]))
     w_plus = np.einsum("ij,ji->", m, split.p_plus) / split.dim_plus
     w_minus = np.einsum("ij,ji->", m, split.p_minus) / split.dim_minus
     return w_plus * split.p_plus + w_minus * split.p_minus
@@ -114,23 +113,12 @@ def twirl_exact(y) -> np.ndarray:
 
 def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo estimate of the two-copy twirl of Y."""
-    m = as_matrix(y)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = _split_dim(m)
-    acc = _MatrixAccumulator(m.shape)
-    for _ in range(n):
+    m = _square(y)
+    d = qudit_dim(m.shape[0])
+
+    def sample():
         u = haar_sample(d, rng).mat
         uu = np.kron(u, u)
-        acc.add(uu @ m @ uu.conj().T)
-    return acc.estimate()
+        return uu @ m @ uu.conj().T
 
-
-def scalar_mc(samples: np.ndarray) -> McEstimate:
-    """Mean and standard error of a vector of scalar Monte Carlo samples."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("samples must be a nonempty 1D array")
-    n = arr.size
-    se = float(arr.std(ddof=0) / math.sqrt(n))
-    return McEstimate(mean=float(arr.mean()), n_samples=n, std_error=se)
+    return _mc_mean(sample, n)

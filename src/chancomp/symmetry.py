@@ -8,10 +8,12 @@ lexicographic order so fixtures are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import DimensionMismatchError
 from .qobj import QState
 
 
@@ -37,6 +39,14 @@ class SymmetrySplit:
     @property
     def dim_minus(self) -> int:
         return self.d * (self.d - 1) // 2
+
+
+def qudit_dim(n: int) -> int:
+    """The qudit dimension d of a two-qudit space of dimension n = d*d, d >= 2."""
+    d = math.isqrt(n)
+    if d * d != n or d < 2:
+        raise DimensionMismatchError(f"expected two qudits of dimension d >= 2 (n = d*d), got n={n}")
+    return d
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -91,7 +101,7 @@ def _subspace_state(basis: np.ndarray, purity: str, rng: np.random.Generator) ->
     raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
 
 
-def random_antisymmetric_state(d: int, purity: str = "pure", rng: np.random.Generator | None = None) -> QState:
+def random_antisymmetric_state(d: int, purity: str, rng: np.random.Generator) -> QState:
     """Random two-qudit state supported entirely on the antisymmetric subspace.
 
     For d=2 the subspace is one dimensional, so both variants return the
@@ -99,14 +109,12 @@ def random_antisymmetric_state(d: int, purity: str = "pure", rng: np.random.Gene
     giving full-rank coverage without any distributional claim.
     """
     split = build_split(d)
-    rng = np.random.default_rng() if rng is None else rng
     return QState(_subspace_state(split.basis_minus, purity, rng), [d, d])
 
 
-def random_symmetric_state(d: int, purity: str = "pure", rng: np.random.Generator | None = None) -> QState:
+def random_symmetric_state(d: int, purity: str, rng: np.random.Generator) -> QState:
     """Random two-qudit state supported entirely on the symmetric subspace."""
     split = build_split(d)
-    rng = np.random.default_rng() if rng is None else rng
     return QState(_subspace_state(split.basis_plus, purity, rng), [d, d])
 
 

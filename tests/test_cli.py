@@ -103,6 +103,15 @@ def test_negative_seed_rejected(capsys):
         assert err.startswith("error:") and "--seed" in err and "Traceback" not in err
 
 
+def test_single_sample_rejected_where_a_standard_error_is_reported(capsys):
+    for argv in (["success-table", "--d-min", "2", "--d-max", "2"], ["twirl-verify", "--d", "2"]):
+        assert main(argv + ["--n", "1"]) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "--n" in err and "Traceback" not in err
+    assert main(["bound-scan", "--d", "2", "--n", "1"]) == 0
+
+
 def test_unwritable_out_rejected(tmp_path, capsys):
     out_path = tmp_path / "missing" / "x.json"
     assert main(["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--out", str(out_path)]) == 2

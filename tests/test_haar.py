@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from chancomp.comparator import average_success_mc, make_strategy
 from chancomp.haar import (
     McEstimate,
+    _mc_mean,
     average_channel_exact,
     average_channel_mc,
     haar_sample,
     rng_streams,
-    scalar_mc,
     twirl_exact,
     twirl_mc,
 )
 from chancomp.linalg import DimensionMismatchError, max_abs
+from chancomp.symmetry import uniform_antisymmetric_state
 
 
 def swap_by_hand(d):
@@ -43,8 +45,7 @@ def test_trace_second_moment():
     # E |tr U|^2 = 1 on the unitary group; checked against the sampler's own
     # spread (the average-channel tests pin the distribution independently).
     rng = np.random.default_rng(32)
-    samples = np.array([abs(np.trace(haar_sample(3, rng).mat)) ** 2 for _ in range(10000)])
-    est = scalar_mc(samples)
+    est = _mc_mean(lambda: abs(np.trace(haar_sample(3, rng).mat)) ** 2, 10000)
     assert abs(est.mean - 1.0) <= 5 * est.std_error
 
 
@@ -102,6 +103,34 @@ def test_average_channel_mc():
     off[0, 1] = 1.0
     est = average_channel_mc(off, 10000, rng)
     assert max_abs(est.mean) <= 0.05
+
+
+def test_std_error_matches_numpy_ddof1_at_small_n():
+    # The draws are recomputed from an identically seeded generator; the
+    # streamed estimator must agree with numpy's two-pass ddof=1 spread.
+    ket0 = np.diag([1.0, 0.0]).astype(complex)
+    strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(2))
+    xi, f_diff = strategy.xi.mat, strategy.effects["diff"]
+
+    def channel_draw(rng):
+        u = haar_sample(2, rng).mat
+        return u @ ket0 @ u.conj().T
+
+    def success_draw(rng):
+        uv = np.kron(haar_sample(2, rng).mat, haar_sample(2, rng).mat)
+        return np.trace(f_diff @ uv @ xi @ uv.conj().T).real
+
+    for n in (2, 3, 8):
+        for estimate, draw in ((lambda rng: average_channel_mc(ket0, n, rng), channel_draw),
+                               (lambda rng: average_success_mc(strategy, n, rng), success_draw)):
+            est = estimate(np.random.default_rng(40 + n))
+            rng = np.random.default_rng(40 + n)
+            samples = np.array([draw(rng) for _ in range(n)])
+            expected = np.std(samples, axis=0, ddof=1) / np.sqrt(n)
+            assert est.n_samples == n
+            assert np.all(expected > 0)
+            assert np.all(np.abs(est.std_error - expected) <= 1e-12 * expected)
+            assert np.all(np.abs(est.mean - samples.mean(axis=0)) <= 1e-12)
 
 
 def test_average_channel_commutant():
@@ -179,8 +208,12 @@ def test_twirl_dimension_validation():
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, n_samples=0, std_error=0.0)
-    with pytest.raises(ValueError):
-        average_channel_mc(np.eye(2), 0, np.random.default_rng(0))
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            average_channel_mc(np.eye(2), n, np.random.default_rng(0))
+    for average in (average_channel_exact, lambda x: average_channel_mc(x, 5, np.random.default_rng(0))):
+        with pytest.raises(DimensionMismatchError):
+            average(np.ones((2, 3)))
 
 
 def test_rng_streams_deterministic_and_distinct():
