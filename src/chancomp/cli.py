@@ -101,7 +101,7 @@ def _meta(args, **extra) -> dict:
 def _emit(payload: dict, rows: list[dict], args) -> None:
     """Write the payload as JSON or CSV to --out (stdout by default)."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         meta = payload["meta"]
@@ -334,7 +334,10 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
-    except InvariantViolation as exc:
+    except (InvariantViolation, ValueError) as exc:
+        # Checked after DimensionMismatchError, a ValueError subclass: any other
+        # ValueError from the library, or a non-finite value in a JSON payload,
+        # is a broken invariant rather than bad input.
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
 

@@ -25,7 +25,7 @@ from .qobj import (
     pair_output_vector,
     ppovm_from_experiment,
 )
-from .symmetry import build_split, qudit_dim
+from .symmetry import SymmetrySplit, build_split, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -234,13 +234,42 @@ def max_psd_scale(base: np.ndarray, k: np.ndarray) -> float:
     return lo
 
 
+def _cross_schur_complement(rho_t: np.ndarray, split: SymmetrySplit) -> np.ndarray:
+    """Shorted operator of B = rho^T (x) I onto the cross subspace S, in the basis of S.
+
+    S is spanned by the columns of [B+ (x) B-, B- (x) B+].  B commutes with
+    I (x) P+-, so the generalised Schur complement splits into d^2-sized
+    pieces: blockdiag(sh(rho^T; B+) (x) I_{d-}, sh(rho^T; B-) (x) I_{d+}) with
+    sh(A; X) = X^dag A X - X^dag A Y (Y^dag A Y)^+ Y^dag A X, Y the other
+    subspace's basis.  The pseudo-inverse drops eigenvalues <= ATOL.
+    """
+
+    def sh(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(y.conj().T @ rho_t @ y)
+        keep = vals > ATOL
+        xa = x.conj().T @ rho_t
+        w = xa @ y @ vecs[:, keep]
+        return xa @ x - (w / vals[keep]) @ w.conj().T
+
+    bp, bm = split.basis_plus, split.basis_minus
+    n = split.dim_plus * split.dim_minus
+    sigma = np.zeros((2 * n, 2 * n), dtype=complex)
+    sigma[:n, :n] = np.kron(sh(bp, bm), np.eye(split.dim_minus))
+    sigma[n:, n:] = np.kron(sh(bm, bp), np.eye(split.dim_plus))
+    return sigma
+
+
 def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | None = None) -> Ppovm:
     """Random PPOVM satisfying every unambiguity constraint by construction.
 
-    M_diff = lambda * K with K a random PSD operator supported on the
-    symmetric/antisymmetric cross subspace (orthogonal to the twirl Choi
-    support) and lambda maximal under positivity of the inconclusive
-    element.  rho defaults to a random full-rank two-qudit state; a
+    M_diff = lambda * K with K = C G C^dag a random PSD operator supported on
+    the symmetric/antisymmetric cross subspace S (orthogonal to the twirl
+    Choi support), C the isometry onto S and G an m x m Gram matrix,
+    m = 2 d+ d-.  lambda is maximal under positivity of the inconclusive
+    element rho^T (x) I - lambda K, which holds exactly when sigma - lambda G
+    is PSD, sigma the m-dim Schur complement of rho^T (x) I onto S; the
+    bisection runs on that pair.  The returned Ppovm re-checks every element
+    on the full space.  rho defaults to a random full-rank two-qudit state; a
     rank-deficient rho misaligned with K degenerates to lambda = 0.
     """
     if d < 2:
@@ -260,13 +289,12 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
     )
     m = cross.shape[1]
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    k = cross @ (g @ g.conj().T) @ cross.conj().T
-    k /= float(np.linalg.eigvalsh(k)[-1])
+    gram = g @ g.conj().T
+    gram /= float(np.linalg.eigvalsh(gram)[-1])
 
-    base = tensor(rho.mat.T, np.eye(dd))
-    lam = max_psd_scale(base, k)
-    m_diff = lam * k
-    return Ppovm({DIFF: m_diff, INCONCLUSIVE: base - m_diff}, rho)
+    lam = max_psd_scale(_cross_schur_complement(rho.mat.T, split), gram)
+    m_diff = lam * (cross @ gram @ cross.conj().T)
+    return Ppovm({DIFF: m_diff, INCONCLUSIVE: tensor(rho.mat.T, np.eye(dd)) - m_diff}, rho)
 
 
 def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:

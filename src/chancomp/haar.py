@@ -52,23 +52,27 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
 def _mc_mean(sample, n: int) -> McEstimate:
     """Mean of n draws of sample() with its standard error, streamed (elementwise for matrices).
 
-    Keeps a running sum and a running sum of |x|^2; the variance takes the
-    n - 1 denominator, so at least two draws are needed.  The first draw
-    becomes the running sum, so sample() must return a fresh value on each
-    call.  This is the one Monte Carlo estimator behind every Haar average
-    in the package.
+    Keeps a running sum of x - x0 and of |x - x0|^2, with x0 the first draw,
+    so the variance does not cancel when the spread is small against |x|;
+    it takes the n - 1 denominator, so at least two draws are needed.
+    Draws are shifted in place, so sample() must return a fresh value on
+    each call.  This is the one Monte Carlo estimator behind every Haar
+    average in the package.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
     # Builtin abs is numpy's elementwise abs on arrays and avoids a ufunc call on scalars.
+    shift = sample()
     total = sample()
+    total -= shift
     total_sq = abs(total) ** 2
-    for _ in range(n - 1):
+    for _ in range(n - 2):
         x = sample()
+        x -= shift
         total += x
         total_sq += abs(x) ** 2
-    mean = total / n
-    var = np.maximum(total_sq - n * abs(mean) ** 2, 0.0) / (n - 1)
+    mean = shift + total / n
+    var = np.maximum(total_sq - abs(total) ** 2 / n, 0.0) / (n - 1)
     return McEstimate(mean=mean, n_samples=n, std_error=np.sqrt(var / n))
 
 

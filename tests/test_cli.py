@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 
 import chancomp
+from chancomp import cli
 from chancomp.cli import main, resolve_gate
-from chancomp.linalg import matrix_to_json, max_abs
+from chancomp.comparator import ComparisonReport
+from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -125,6 +127,42 @@ def test_eta_same_only_on_success_table(capsys):
     assert main(["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--eta-same", "0.5"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--eta-same" in err
+
+
+def test_library_value_error_exits_4(monkeypatch, capsys):
+    # A failed construction-time check inside a command is a broken
+    # invariant: exit 4 with one line, no traceback, nothing on stdout.
+    def broken_ppovm(d, rng, rho=None):
+        raise ValueError("element 'inconclusive' is not positive semidefinite")
+
+    monkeypatch.setattr(cli, "random_unambiguous_ppovm", broken_ppovm)
+    assert main(["bound-scan", "--d", "2", "--n", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation:") and "Traceback" not in err
+
+    def mismatched_ppovm(d, rng, rho=None):
+        raise DimensionMismatchError("rho must live on two qudits of dim 2")
+
+    monkeypatch.setattr(cli, "random_unambiguous_ppovm", mismatched_ppovm)
+    assert main(["bound-scan", "--d", "2", "--n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("dimension error:")
+
+
+def test_non_finite_json_payload_exits_4(monkeypatch, capsys, tmp_path):
+    def nan_report(strategy, u, v, seed=0):
+        return ComparisonReport(p_diff=float("nan"), p_inconclusive=0.5, verdict="inconclusive", seed=seed)
+
+    monkeypatch.setattr(cli, "run_pair", nan_report)
+    argv = ["compare", "--d", "2", "--u", "identity", "--v", "pauli-x"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation:") and "Traceback" not in err
+    out_path = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out_path)]) == 4
+    assert not out_path.exists()
 
 
 def test_success_table_values(tmp_path):

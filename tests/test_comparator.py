@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chancomp.comparator import (
+    _cross_schur_complement,
     average_success,
     average_success_mc,
     identity_phase_gap,
@@ -314,6 +315,81 @@ def test_max_psd_scale_monotone_case():
     k = np.diag([1.0, 0.5]).astype(complex)
     lam = max_psd_scale(base, k)
     assert abs(lam - 1.0) <= 1e-9
+
+
+def _cross_isometry(split):
+    return np.hstack(
+        [np.kron(split.basis_plus, split.basis_minus), np.kron(split.basis_minus, split.basis_plus)]
+    )
+
+
+def _redraw_inputs(d, rng, rho=None):
+    """The rho and normalised Gram matrix random_unambiguous_ppovm draws from rng."""
+    split = build_split(d)
+    dd = d * d
+    if rho is None:
+        g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        mat = g @ g.conj().T
+        rho = QState(mat / np.trace(mat).real, [d, d])
+    m = 2 * split.dim_plus * split.dim_minus
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    gram = g @ g.conj().T
+    return rho, gram / np.linalg.eigvalsh(gram)[-1]
+
+
+def _check_against_full_space_oracle(d, draws, seed, rho=None):
+    # Differential test: the bisection on the m-dim Schur complement against
+    # the same bisection on the d^4-dim operator rho^T (x) I - s K.
+    split = build_split(d)
+    cross = _cross_isometry(split)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        ppovm = random_unambiguous_ppovm(d, rng, rho=rho)
+        drawn_rho, gram = _redraw_inputs(d, twin, rho)
+        k = cross @ gram @ cross.conj().T
+        oracle = max_psd_scale(tensor(drawn_rho.mat.T, np.eye(d * d)), k)
+        lam = max_psd_scale(_cross_schur_complement(drawn_rho.mat.T, split), gram)
+        assert lam <= oracle
+        assert oracle - lam <= 1e-8
+        assert max_abs(ppovm.elements["diff"] - lam * k) <= 1e-12
+        assert np.linalg.eigvalsh(ppovm.elements["inconclusive"])[0] >= -1e-10
+
+
+def test_reduced_bound_search_matches_full_space_oracle():
+    _check_against_full_space_oracle(2, 200, 60)
+    _check_against_full_space_oracle(3, 50, 61)
+
+
+def test_reduced_bound_search_rank_deficient_and_ill_conditioned_rho():
+    d = 3
+    rng = np.random.default_rng(62)
+    g = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    rank_two = g @ g.conj().T
+    u = haar_sample(9, rng).mat
+    spectrum = np.logspace(0, -8, 9)  # condition number 1e8
+    ill_conditioned = u @ np.diag(spectrum / spectrum.sum()) @ u.conj().T
+    for rho in (uniform_antisymmetric_state(d),
+                QState(rank_two / np.trace(rank_two).real, [d, d]),
+                QState(ill_conditioned, [d, d])):
+        _check_against_full_space_oracle(d, 5, 63, rho=rho)
+
+
+def test_cross_schur_complement_matches_dense_shorted_operator():
+    # sigma = C^dag B C - C^dag B Y (Y^dag B Y)^+ Y^dag B C with B = rho^T (x) I,
+    # C onto the cross subspace and Y onto its complement, built densely.
+    rng = np.random.default_rng(64)
+    for d in (2, 3):
+        split = build_split(d)
+        dd = d * d
+        g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        rho_t = (g @ g.conj().T / np.trace(g @ g.conj().T).real).T
+        b = tensor(rho_t, np.eye(dd))
+        c = _cross_isometry(split)
+        y = np.hstack([np.kron(split.basis_plus, split.basis_plus),
+                       np.kron(split.basis_minus, split.basis_minus)])
+        cb, yb = c.conj().T @ b, y.conj().T @ b
+        dense = cb @ c - cb @ y @ np.linalg.pinv(yb @ y) @ yb @ c
+        assert max_abs(_cross_schur_complement(rho_t, split) - dense) <= 1e-12
 
 
 def test_uniqueness_probe_accepts_optimal():

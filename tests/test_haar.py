@@ -133,6 +133,14 @@ def test_std_error_matches_numpy_ddof1_at_small_n():
             assert np.all(np.abs(est.mean - samples.mean(axis=0)) <= 1e-12)
 
 
+def test_std_error_vanishes_for_a_constant_input():
+    # Every draw of U I U^dagger is the identity up to rounding, so the
+    # standard error must stay at rounding level instead of cancelling.
+    for seed in range(20):
+        est = average_channel_mc(np.eye(3), 100, np.random.default_rng(seed))
+        assert np.max(est.std_error) <= 1e-15, seed
+
+
 def test_average_channel_commutant():
     rng = np.random.default_rng(35)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
