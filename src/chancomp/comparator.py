@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, _mc_mean, haar_sample
-from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
+from .haar import McEstimate, _haar_stack, _mc_mean, haar_sample
+from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, kron_stack, max_abs, tensor
 from .qobj import (
     ChoiOp,
     Ppovm,
@@ -137,10 +137,13 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
     return Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
 
-def _pair_output(xi: np.ndarray, u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
-    """(U (x) V) xi (U (x) V)^dagger: the test state after one pass through each box."""
-    uv = np.kron(u.mat, v.mat)
-    return uv @ xi @ uv.conj().T
+def _pair_outputs(xi: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(U_k (x) V_k) xi (U_k (x) V_k)^dagger for two stacks of unitaries.
+
+    Slice k is the test state after one pass through each box of pair k.
+    """
+    uv = kron_stack(u, v)
+    return uv @ xi @ uv.conj().transpose(0, 2, 1)
 
 
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
@@ -153,7 +156,7 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
         raise DimensionMismatchError(
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
-    out = _pair_output(strategy.xi.mat, u, v)
+    (out,) = _pair_outputs(strategy.xi.mat, u.mat[None], v.mat[None])
     p_diff, p_inc = (
         clamp_probability(float(np.einsum("ij,ji->", out, strategy.effects[label]).real))
         for label in (DIFF, INCONCLUSIVE)
@@ -176,9 +179,9 @@ def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> 
     d = strategy.d
     f_diff, xi = strategy.effects[DIFF], strategy.xi.mat
 
-    def sample():
-        out = _pair_output(xi, haar_sample(d, rng), haar_sample(d, rng))
-        return np.einsum("ij,ji->", out, f_diff).real
+    def sample(k):
+        uv = _haar_stack(d, 2 * k, rng)  # U and V alternate, as drawn
+        return np.einsum("kij,ji->k", _pair_outputs(xi, uv[0::2], uv[1::2]), f_diff).real
 
     return _mc_mean(sample, n)
 

@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_matrix
+from .linalg import DimensionMismatchError, as_matrix, kron_stack
 from .qobj import UnitaryOp
 from .symmetry import build_split, qudit_dim
+
+# Draws per stacked numpy expression in the Monte Carlo averages.  A chunk
+# holds a few (k, d^2, d^2) arrays, so larger chunks cost peak memory for
+# little speed.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class McEstimate:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if np.any(np.asarray(self.std_error) < 0):
+        if not np.all(np.asarray(self.std_error) >= 0):
             raise ValueError("std_error must be nonnegative")
 
 
@@ -42,38 +47,44 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Draw a Haar-random d x d unitary."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2)
+    re, im = rng.normal(size=(2, d, d))
+    z = (re + 1j * im) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     q = q * (diag / np.abs(diag))
     return UnitaryOp(q)
 
 
-def _mc_mean(sample, n: int) -> McEstimate:
-    """Mean of n draws of sample() with its standard error, streamed (elementwise for matrices).
+def _haar_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-random d x d unitaries stacked on axis 0, one haar_sample call each, in order."""
+    return np.stack([haar_sample(d, rng).mat for _ in range(k)])
 
-    Keeps a running sum of x - x0 and of |x - x0|^2, with x0 the first draw,
-    so the variance does not cancel when the spread is small against |x|;
-    it takes the n - 1 denominator, so at least two draws are needed.
-    Draws are shifted in place, so sample() must return a fresh value on
-    each call.  This is the one Monte Carlo estimator behind every Haar
-    average in the package.
+
+def _mc_mean(sample, n: int) -> McEstimate:
+    """Mean of n draws with its standard error (elementwise for matrices).
+
+    sample(k) returns k fresh draws stacked on axis 0; it is called on
+    chunks of at most _CHUNK draws, in order.  Each chunk gets a two-pass
+    mean and squared deviation, so the variance does not cancel when the
+    spread is small against |x|, and the chunks are combined as in Chan,
+    Golub & LeVeque, Am. Stat. 37 (1983).  The standard error takes the
+    n - 1 denominator, so at least two draws are needed.  This is the one
+    Monte Carlo estimator behind every Haar average in the package.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
-    # Builtin abs is numpy's elementwise abs on arrays and avoids a ufunc call on scalars.
-    shift = sample()
-    total = sample()
-    total -= shift
-    total_sq = abs(total) ** 2
-    for _ in range(n - 2):
-        x = sample()
-        x -= shift
-        total += x
-        total_sq += abs(x) ** 2
-    mean = shift + total / n
-    var = np.maximum(total_sq - abs(total) ** 2 / n, 0.0) / (n - 1)
-    return McEstimate(mean=mean, n_samples=n, std_error=np.sqrt(var / n))
+    for count in range(0, n, _CHUNK):  # draws taken before this chunk
+        x = sample(min(_CHUNK, n - count))
+        x_mean = x.mean(axis=0)
+        x_sq = (abs(x - x_mean) ** 2).sum(axis=0)
+        if count == 0:
+            mean, sq = x_mean, x_sq
+        else:
+            weight = len(x) / (count + len(x))
+            delta = x_mean - mean
+            mean = mean + delta * weight
+            sq = sq + x_sq + abs(delta) ** 2 * (count * weight)
+    return McEstimate(mean=mean, n_samples=n, std_error=np.sqrt(sq / (n - 1) / n))
 
 
 def _square(x) -> np.ndarray:
@@ -95,9 +106,9 @@ def average_channel_mc(x, n: int, rng: np.random.Generator) -> McEstimate:
     m = _square(x)
     d = m.shape[0]
 
-    def sample():
-        u = haar_sample(d, rng).mat
-        return u @ m @ u.conj().T
+    def sample(k):
+        u = _haar_stack(d, k, rng)
+        return u @ m @ u.conj().transpose(0, 2, 1)
 
     return _mc_mean(sample, n)
 
@@ -120,9 +131,9 @@ def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:
     m = _square(y)
     d = qudit_dim(m.shape[0])
 
-    def sample():
-        u = haar_sample(d, rng).mat
-        uu = np.kron(u, u)
-        return uu @ m @ uu.conj().T
+    def sample(k):
+        u = _haar_stack(d, k, rng)
+        uu = kron_stack(u, u)
+        return uu @ m @ uu.conj().transpose(0, 2, 1)
 
     return _mc_mean(sample, n)

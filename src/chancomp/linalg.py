@@ -41,6 +41,16 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
+def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-slice Kronecker product U_k (x) V_k of two stacks of k matrices.
+
+    Each slice equals np.kron(u[k], v[k]) bit for bit.
+    """
+    k, a, b = u.shape
+    c, e = v.shape[1:]
+    return (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(k, a * c, b * e)
+
+
 def max_abs(a) -> float:
     """Largest entrywise modulus."""
     return float(np.abs(np.asarray(a)).max())

@@ -25,6 +25,7 @@ from .linalg import (
     as_matrix,
     is_hermitian,
     is_psd,
+    kron_stack,
     max_abs,
     tensor,
     trace_product,
@@ -162,7 +163,7 @@ def pair_output_vector(u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
     """The pure output vector whose projector is choi_of_unitary_pair(u, v)."""
     if u.dim != v.dim:
         raise DimensionMismatchError(f"unitary dims {u.dim} and {v.dim} differ")
-    return _pair_output_vec(np.kron(u.mat, v.mat))
+    return _pair_output_vec(kron_stack(u.mat[None], v.mat[None])[0])
 
 
 def choi_of_unitary_pair(u: UnitaryOp, v: UnitaryOp) -> ChoiOp:

@@ -12,7 +12,9 @@ import chancomp
 from chancomp import cli
 from chancomp.cli import main, resolve_gate
 from chancomp.comparator import ComparisonReport
+from chancomp.haar import haar_sample
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
+from chancomp.qobj import pair_output_vector
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -252,6 +254,20 @@ def test_twirl_verify(tmp_path):
     assert residuals["exact_trace_preserving"] <= 1e-12
     for name, value in residuals.items():
         assert value <= 0.2, name
+
+
+def test_pair_choi_mean_matches_per_draw_outer_products():
+    # Chunked Gram matrices against the per-draw |w><w| sum on the same draws,
+    # with n crossing a chunk boundary.
+    for d, n in ((2, 130), (3, 70)):
+        got = cli._pair_choi_mean(d, n, np.random.default_rng(60 + d))
+        rng = np.random.default_rng(60 + d)
+        total = np.zeros((d**4, d**4), dtype=complex)
+        for _ in range(n):
+            u = haar_sample(d, rng)
+            w = pair_output_vector(u, u)
+            total += np.outer(w, w.conj())
+        assert max_abs(got - total / n) <= 1e-12
 
 
 def test_witness(tmp_path):

@@ -45,7 +45,11 @@ def test_trace_second_moment():
     # E |tr U|^2 = 1 on the unitary group; checked against the sampler's own
     # spread (the average-channel tests pin the distribution independently).
     rng = np.random.default_rng(32)
-    est = _mc_mean(lambda: abs(np.trace(haar_sample(3, rng).mat)) ** 2, 10000)
+
+    def sample(k):
+        return np.array([abs(np.trace(haar_sample(3, rng).mat)) ** 2 for _ in range(k)])
+
+    est = _mc_mean(sample, 10000)
     assert abs(est.mean - 1.0) <= 5 * est.std_error
 
 
@@ -133,6 +137,46 @@ def test_std_error_matches_numpy_ddof1_at_small_n():
             assert np.all(np.abs(est.mean - samples.mean(axis=0)) <= 1e-12)
 
 
+def test_estimators_match_per_draw_values_across_chunk_boundaries():
+    # The stacked chunks must reproduce the per-draw formulas on the same
+    # draws, recomputed one by one from an identically seeded generator.
+    ket01 = np.zeros((2, 2), dtype=complex)
+    ket01[0, 1] = 1.0
+    y = np.zeros((4, 4), dtype=complex)
+    y[1, 1] = y[1, 2] = 1.0
+    strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(2))
+    xi, f_diff = strategy.xi.mat, strategy.effects["diff"]
+
+    def channel_draw(rng):
+        u = haar_sample(2, rng).mat
+        return u @ ket01 @ u.conj().T
+
+    def twirl_draw(rng):
+        u = haar_sample(2, rng).mat
+        uu = np.kron(u, u)
+        return uu @ y @ uu.conj().T
+
+    def success_draw(rng):
+        uv = np.kron(haar_sample(2, rng).mat, haar_sample(2, rng).mat)
+        return np.trace(f_diff @ uv @ xi @ uv.conj().T).real
+
+    cases = (
+        (lambda n, rng: average_channel_mc(ket01, n, rng), channel_draw),
+        (lambda n, rng: twirl_mc(y, n, rng), twirl_draw),
+        (lambda n, rng: average_success_mc(strategy, n, rng), success_draw),
+    )
+    for n in (63, 64, 65, 200):
+        for estimate, draw in cases:
+            est = estimate(n, np.random.default_rng(50 + n))
+            rng = np.random.default_rng(50 + n)
+            samples = np.array([draw(rng) for _ in range(n)])
+            mean = samples.mean(axis=0)
+            expected = np.std(samples, axis=0, ddof=1) / np.sqrt(n)
+            assert est.n_samples == n
+            assert np.all(np.abs(est.mean - mean) <= 1e-12 * np.abs(mean))
+            assert np.all(np.abs(est.std_error - expected) <= 1e-12 * expected)
+
+
 def test_std_error_vanishes_for_a_constant_input():
     # Every draw of U I U^dagger is the identity up to rounding, so the
     # standard error must stay at rounding level instead of cancelling.
@@ -216,6 +260,9 @@ def test_twirl_dimension_validation():
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, n_samples=0, std_error=0.0)
+    for bad in (-1e-300, np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError):
+            McEstimate(mean=0.0, n_samples=2, std_error=bad)
     for n in (0, 1):
         with pytest.raises(ValueError):
             average_channel_mc(np.eye(2), n, np.random.default_rng(0))

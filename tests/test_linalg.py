@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from chancomp.linalg import is_psd, matrix_from_json, matrix_to_json, max_abs, tensor, trace_product
+from chancomp.linalg import (
+    is_psd,
+    kron_stack,
+    matrix_from_json,
+    matrix_to_json,
+    max_abs,
+    tensor,
+    trace_product,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -39,6 +47,16 @@ def test_tensor_associative_exact_on_integer_entries():
     a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
     assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
     assert np.array_equal(tensor(a, b, c), tensor(a, tensor(b, c)))
+
+
+def test_kron_stack_equals_kron_per_slice():
+    rng = np.random.default_rng(8)
+    for shape_u, shape_v in (((5, 2, 2), (5, 2, 2)), ((3, 3, 3), (3, 3, 3)), ((4, 2, 3), (4, 3, 1))):
+        u = rng.normal(size=shape_u) + 1j * rng.normal(size=shape_u)
+        v = rng.normal(size=shape_v) + 1j * rng.normal(size=shape_v)
+        got = kron_stack(u, v)
+        for k in range(len(u)):
+            assert np.array_equal(got[k], np.kron(u[k], v[k]))
 
 
 def test_transpose_preserves_antisymmetric_support():
