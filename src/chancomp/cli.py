@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .comparator import (
+    DIFF,
     average_success,
     average_success_mc,
     make_strategy,
@@ -36,15 +37,8 @@ from .comparator import (
     success_bound,
     twirl_choi,
 )
-from .haar import _CHUNK, _haar_stack, twirl_exact, twirl_mc
-from .linalg import (
-    SUM_ATOL,
-    DimensionMismatchError,
-    kron_stack,
-    matrix_from_json,
-    matrix_to_json,
-    max_abs,
-)
+from .haar import _pair_choi_mean, twirl_exact, twirl_mc
+from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary
 from .symmetry import build_split, uniform_antisymmetric_state, uniform_symmetric_state
 
@@ -55,6 +49,11 @@ class UsageError(Exception):
 
 class InvariantViolation(Exception):
     """A checked invariant failed at runtime; maps to exit code 4."""
+
+
+# Bytes allowed for a command's largest dense array: d^2 x d^2 under compare and
+# witness, d^4 x d^4 (the doubled Choi space) under bound-scan and twirl-verify.
+_MAX_ARRAY_BYTES = 2**28
 
 
 def _fmt(x: float) -> str:
@@ -177,7 +176,7 @@ def cmd_bound_scan(args) -> int:
     violations = 0
     for _ in range(args.n):
         ppovm = random_unambiguous_ppovm(d, rng)
-        success = float(np.trace(ppovm.elements["diff"]).real) / (d * d)
+        success = float(np.trace(ppovm.elements[DIFF]).real) / (d * d)
         max_success = max(max_success, success)
         if not (success <= bound + SUM_ATOL):
             violations += 1
@@ -198,20 +197,6 @@ def cmd_bound_scan(args) -> int:
             f"{violations} draw(s) exceeded the success bound {bound} by more than {SUM_ATOL}"
         )
     return 0
-
-
-def _pair_choi_mean(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Mean of the identical-pair Choi operators |w><w| over n Haar draws of U.
-
-    Row k of W holds the pair-output vector of (U_k, U_k), so each chunk of
-    draws adds its Gram matrix W^T conj(W) to the sum.
-    """
-    total = np.zeros((d**4, d**4), dtype=complex)
-    for start in range(0, n, _CHUNK):
-        u = _haar_stack(d, min(_CHUNK, n - start), rng)
-        w = kron_stack(u, u).transpose(0, 2, 1).reshape(len(u), -1)
-        total += w.T @ w.conj()
-    return total / n
 
 
 def cmd_twirl_verify(args) -> int:
@@ -323,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args) -> None:
-    if getattr(args, "d", 2) < 2:
-        raise UsageError(f"--d must be >= 2, got {args.d}")
+    d = getattr(args, "d", 2)
+    if d < 2:
+        raise UsageError(f"--d must be >= 2, got {d}")
+    side = d ** (4 if args.command in ("bound-scan", "twirl-verify") else 2)
+    if side * side * 16 > _MAX_ARRAY_BYTES:
+        raise UsageError(f"--d {d} needs a {side} x {side} complex array "
+                         f"({side * side * 16 / 2**20:.3g} MiB), over the {_MAX_ARRAY_BYTES >> 20} MiB limit")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.n < 2 and args.command in ("success-table", "twirl-verify"):

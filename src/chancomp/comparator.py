@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, _haar_stack, _mc_mean, haar_sample
-from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, kron_stack, max_abs, tensor
+from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample
+from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor, trace_product
+from .linalg import _conjugate_stack, kron_stack
 from .qobj import (
     ChoiOp,
     Ppovm,
@@ -137,15 +138,6 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
     return Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
 
-def _pair_outputs(xi: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(U_k (x) V_k) xi (U_k (x) V_k)^dagger for two stacks of unitaries.
-
-    Slice k is the test state after one pass through each box of pair k.
-    """
-    uv = kron_stack(u, v)
-    return uv @ xi @ uv.conj().transpose(0, 2, 1)
-
-
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
     """Exact outcome probabilities for the pair (U, V) plus one sampled verdict.
 
@@ -156,9 +148,9 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
         raise DimensionMismatchError(
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
-    (out,) = _pair_outputs(strategy.xi.mat, u.mat[None], v.mat[None])
+    (out,) = _conjugate_stack(kron_stack(u.mat[None], v.mat[None]), strategy.xi.mat)
     p_diff, p_inc = (
-        clamp_probability(float(np.einsum("ij,ji->", out, strategy.effects[label]).real))
+        clamp_probability(float(trace_product(out, strategy.effects[label]).real))
         for label in (DIFF, INCONCLUSIVE)
     )
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
@@ -176,14 +168,11 @@ def average_success(strategy: Strategy) -> float:
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
-    d = strategy.d
     f_diff, xi = strategy.effects[DIFF], strategy.xi.mat
-
-    def sample(k):
-        uv = _haar_stack(d, 2 * k, rng)  # U and V alternate, as drawn
-        return np.einsum("kij,ji->k", _pair_outputs(xi, uv[0::2], uv[1::2]), f_diff).real
-
-    return _mc_mean(sample, n)
+    return _mc_mean(
+        np.einsum("kij,ji->k", _conjugate_stack(kron_stack(u, v), xi), f_diff).real
+        for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
+    )
 
 
 def overall_success(strategy: Strategy, eta_same: float) -> float:
@@ -203,7 +192,7 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     d = qudit_dim(ppovm.d_sys)
     m_diff = ppovm.elements[DIFF]
     omega_t = twirl_choi(d)
-    twirl_residual = abs(float(np.einsum("ij,ji->", omega_t.mat, m_diff).real))
+    twirl_residual = abs(float(trace_product(omega_t.mat, m_diff).real))
     haar_max = 0.0
     for _ in range(n_samples):
         u = haar_sample(d, rng)

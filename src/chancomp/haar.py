@@ -2,8 +2,9 @@
 
 Sampling uses the QR decomposition of a complex Ginibre matrix with the
 R-diagonal phase correction, which is exactly Haar distributed.  All samplers
-take an explicit numpy Generator; use rng_streams to derive independent
-per-worker streams from one seed.
+take an explicit numpy Generator.  Every Monte Carlo average draws its
+unitaries through _haar_chunks, the one place that decides the chunk size
+and the stream order.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_matrix, kron_stack
-from .qobj import UnitaryOp
+from .linalg import DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack, trace_product
+from .qobj import UnitaryOp, _pair_output_vec
 from .symmetry import build_split, qudit_dim
 
 # Draws per stacked numpy expression in the Monte Carlo averages.  A chunk
@@ -38,11 +39,6 @@ class McEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def rng_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent generators derived from (seed, stream index)."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Draw a Haar-random d x d unitary."""
     if d < 1:
@@ -55,26 +51,30 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
     return UnitaryOp(q)
 
 
-def _haar_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k Haar-random d x d unitaries stacked on axis 0, one haar_sample call each, in order."""
-    return np.stack([haar_sample(d, rng).mat for _ in range(k)])
+def _haar_chunks(d: int, n: int, rng: np.random.Generator, copies: int = 1):
+    """n draws of `copies` Haar unitaries, as (copies, k, d, d) chunks of k <= _CHUNK draws.
 
-
-def _mc_mean(sample, n: int) -> McEstimate:
-    """Mean of n draws with its standard error (elementwise for matrices).
-
-    sample(k) returns k fresh draws stacked on axis 0; it is called on
-    chunks of at most _CHUNK draws, in order.  Each chunk gets a two-pass
-    mean and squared deviation, so the variance does not cancel when the
-    spread is small against |x|, and the chunks are combined as in Chan,
-    Golub & LeVeque, Am. Stat. 37 (1983).  The standard error takes the
-    n - 1 denominator, so at least two draws are needed.  This is the one
-    Monte Carlo estimator behind every Haar average in the package.
+    One haar_sample call per unitary, a draw's copies in a row: the stream
+    is used as by n * copies calls in turn.  Unpack as `(u,)` or `u, v`.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2 for a standard error, got {n}")
-    for count in range(0, n, _CHUNK):  # draws taken before this chunk
-        x = sample(min(_CHUNK, n - count))
+    for count in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - count)
+        draws = np.stack([haar_sample(d, rng).mat for _ in range(k * copies)])
+        yield draws.reshape(k, copies, d, d).swapaxes(0, 1)
+
+
+def _mc_mean(chunks) -> McEstimate:
+    """Mean of the draws in an iterable of stacked chunks, with its standard error.
+
+    Elementwise for matrices.  Each chunk gets a two-pass mean and squared
+    deviation, so the variance does not cancel when the spread is small
+    against |x|, and the chunks are combined as in Chan, Golub & LeVeque,
+    Am. Stat. 37 (1983).  The standard error takes the n - 1 denominator, so
+    at least two draws are needed.  This is the one Monte Carlo estimator
+    behind every Haar average in the package.
+    """
+    count = 0  # draws taken before this chunk
+    for x in chunks:
         x_mean = x.mean(axis=0)
         x_sq = (abs(x - x_mean) ** 2).sum(axis=0)
         if count == 0:
@@ -84,7 +84,10 @@ def _mc_mean(sample, n: int) -> McEstimate:
             delta = x_mean - mean
             mean = mean + delta * weight
             sq = sq + x_sq + abs(delta) ** 2 * (count * weight)
-    return McEstimate(mean=mean, n_samples=n, std_error=np.sqrt(sq / (n - 1) / n))
+        count += len(x)
+    if count < 2:
+        raise ValueError(f"n must be >= 2 for a standard error, got {count}")
+    return McEstimate(mean=mean, n_samples=count, std_error=np.sqrt(sq / (count - 1) / count))
 
 
 def _square(x) -> np.ndarray:
@@ -104,13 +107,7 @@ def average_channel_exact(x) -> np.ndarray:
 def average_channel_mc(x, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo estimate of the Haar average of U X U^dagger."""
     m = _square(x)
-    d = m.shape[0]
-
-    def sample(k):
-        u = _haar_stack(d, k, rng)
-        return u @ m @ u.conj().transpose(0, 2, 1)
-
-    return _mc_mean(sample, n)
+    return _mc_mean(_conjugate_stack(u, m) for (u,) in _haar_chunks(m.shape[0], n, rng))
 
 
 def twirl_exact(y) -> np.ndarray:
@@ -121,8 +118,8 @@ def twirl_exact(y) -> np.ndarray:
     """
     m = _square(y)
     split = build_split(qudit_dim(m.shape[0]))
-    w_plus = np.einsum("ij,ji->", m, split.p_plus) / split.dim_plus
-    w_minus = np.einsum("ij,ji->", m, split.p_minus) / split.dim_minus
+    w_plus = trace_product(m, split.p_plus) / split.dim_plus
+    w_minus = trace_product(m, split.p_minus) / split.dim_minus
     return w_plus * split.p_plus + w_minus * split.p_minus
 
 
@@ -130,10 +127,17 @@ def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo estimate of the two-copy twirl of Y."""
     m = _square(y)
     d = qudit_dim(m.shape[0])
+    return _mc_mean(_conjugate_stack(kron_stack(u, u), m) for (u,) in _haar_chunks(d, n, rng))
 
-    def sample(k):
-        u = _haar_stack(d, k, rng)
-        uu = kron_stack(u, u)
-        return uu @ m @ uu.conj().transpose(0, 2, 1)
 
-    return _mc_mean(sample, n)
+def _pair_choi_mean(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of the identical-pair Choi operators |w><w| over n Haar draws of U.
+
+    The Choi-side twirl check, mean only.  Row k of W holds the pair-output
+    vector of (U_k, U_k), so each chunk adds its Gram matrix W^T conj(W).
+    """
+    total = np.zeros((d**4, d**4), dtype=complex)
+    for (u,) in _haar_chunks(d, n, rng):
+        w = _pair_output_vec(kron_stack(u, u))
+        total += w.T @ w.conj()
+    return total / n

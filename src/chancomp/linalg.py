@@ -51,6 +51,11 @@ def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(k, a * c, b * e)
 
 
+def _conjugate_stack(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """K_j M K_j^dagger for every slice K_j of a stack, e.g. a state sent through the boxes."""
+    return k @ m @ k.conj().transpose(0, 2, 1)
+
+
 def max_abs(a) -> float:
     """Largest entrywise modulus."""
     return float(np.abs(np.asarray(a)).max())
@@ -71,11 +76,11 @@ def is_psd(a) -> bool:
 
 
 def trace_product(a, b) -> complex:
-    """tr(A B) without forming the product matrix."""
+    """tr(A B) without forming the product matrix, as a numpy complex scalar."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape[1] != mb.shape[0] or ma.shape[0] != mb.shape[1]:
         raise DimensionMismatchError(f"trace_product shapes {ma.shape} x {mb.shape}")
-    return complex(np.einsum("ij,ji->", ma, mb))
+    return np.einsum("ij,ji->", ma, mb)
 
 
 def matrix_to_json(a) -> dict:
@@ -86,8 +91,10 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    """Inverse of matrix_to_json; rows and cols must be JSON integers."""
+    rows, cols = obj["rows"], obj["cols"]
+    if type(rows) is not int or type(cols) is not int:  # no float truncation, no bool
+        raise ValueError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")

@@ -148,9 +148,9 @@ def _pair_output_vec(k: np.ndarray) -> np.ndarray:
     """Vector (I (x) K) applied to the unnormalized entangled pair.
 
     With the pair written as the reshaped identity, the image is vec(K^T),
-    avoiding the D^2 x D^2 operator.
+    avoiding the D^2 x D^2 operator.  A (n, D, D) stack gives one row per slice.
     """
-    return k.T.reshape(-1).copy()
+    return k.swapaxes(-1, -2).reshape(*k.shape[:-2], -1)
 
 
 def choi_of_unitary(u: UnitaryOp) -> ChoiOp:
@@ -214,4 +214,4 @@ def outcome_probability(omega: ChoiOp, m) -> float:
     m = as_matrix(m)
     if m.shape != omega.mat.shape:
         raise DimensionMismatchError(f"element shape {m.shape} vs Choi shape {omega.mat.shape}")
-    return clamp_probability(trace_product(omega.mat, m).real)
+    return clamp_probability(float(trace_product(omega.mat, m).real))

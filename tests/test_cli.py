@@ -12,7 +12,7 @@ import chancomp
 from chancomp import cli
 from chancomp.cli import main, resolve_gate
 from chancomp.comparator import ComparisonReport
-from chancomp.haar import haar_sample
+from chancomp.haar import _pair_choi_mean, haar_sample
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import pair_output_vector
 
@@ -80,11 +80,14 @@ def test_compare_exit_codes(tmp_path):
 
 
 def test_non_finite_gate_files_rejected(tmp_path, capsys):
-    for name, entry, rows in (("nan", float("nan"), 2), ("inf", float("inf"), 2),
-                              ("inf_rows", 1.0, float("inf"))):
+    # Also dimensions that are not JSON integers: a float would be truncated
+    # and a bool read as 1.
+    for name, entry, rows, cols in (("nan", float("nan"), 2, 2), ("inf", float("inf"), 2, 2),
+                                    ("inf_rows", 1.0, float("inf"), 2), ("float_dims", 1.0, 2.7, 2.2),
+                                    ("whole_float_rows", 1.0, 2.0, 2), ("bool_rows", 1.0, True, 4)):
         mat = matrix_to_json(np.eye(2))
         mat["data"][0] = [entry, 0.0]
-        mat["rows"] = rows
+        mat["rows"], mat["cols"] = rows, cols
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(mat))  # writes the NaN / Infinity literals
         for argv in (["compare", "--d", "2", "--u", f"@{path}", "--v", "identity"],
@@ -93,6 +96,18 @@ def test_non_finite_gate_files_rejected(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oversized_d_rejected_before_allocating(capsys):
+    # Only sizes far past the limit: a large case is never run.
+    for argv in (["compare", "--u", "identity", "--v", "identity"],
+                 ["witness", "--w", "identity", "--r", "fourier-d"],
+                 ["bound-scan"], ["twirl-verify"]):
+        for d in ("100000", "10000000000"):
+            assert main(argv + ["--d", d, "--n", "5"]) == 2, (argv[0], d)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error:") and "--d" in err and "Traceback" not in err
 
 
 def test_negative_seed_rejected(capsys):
@@ -260,7 +275,7 @@ def test_pair_choi_mean_matches_per_draw_outer_products():
     # Chunked Gram matrices against the per-draw |w><w| sum on the same draws,
     # with n crossing a chunk boundary.
     for d, n in ((2, 130), (3, 70)):
-        got = cli._pair_choi_mean(d, n, np.random.default_rng(60 + d))
+        got = _pair_choi_mean(d, n, np.random.default_rng(60 + d))
         rng = np.random.default_rng(60 + d)
         total = np.zeros((d**4, d**4), dtype=complex)
         for _ in range(n):

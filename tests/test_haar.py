@@ -6,11 +6,11 @@ import pytest
 from chancomp.comparator import average_success_mc, make_strategy
 from chancomp.haar import (
     McEstimate,
+    _haar_chunks,
     _mc_mean,
     average_channel_exact,
     average_channel_mc,
     haar_sample,
-    rng_streams,
     twirl_exact,
     twirl_mc,
 )
@@ -45,11 +45,7 @@ def test_trace_second_moment():
     # E |tr U|^2 = 1 on the unitary group; checked against the sampler's own
     # spread (the average-channel tests pin the distribution independently).
     rng = np.random.default_rng(32)
-
-    def sample(k):
-        return np.array([abs(np.trace(haar_sample(3, rng).mat)) ** 2 for _ in range(k)])
-
-    est = _mc_mean(sample, 10000)
+    est = _mc_mean(abs(np.trace(u, axis1=1, axis2=2)) ** 2 for (u,) in _haar_chunks(3, 10000, rng))
     assert abs(est.mean - 1.0) <= 5 * est.std_error
 
 
@@ -269,12 +265,3 @@ def test_mc_estimate_validation():
     for average in (average_channel_exact, lambda x: average_channel_mc(x, 5, np.random.default_rng(0))):
         with pytest.raises(DimensionMismatchError):
             average(np.ones((2, 3)))
-
-
-def test_rng_streams_deterministic_and_distinct():
-    a = rng_streams(123, 3)
-    b = rng_streams(123, 3)
-    first_a = [g.random() for g in a]
-    first_b = [g.random() for g in b]
-    assert first_a == first_b
-    assert len(set(first_a)) == 3
