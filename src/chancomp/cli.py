@@ -71,7 +71,9 @@ def resolve_gate(spec: str, d: int) -> UnitaryOp:
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix {spec} has shape {mat.shape}, expected ({d}, {d})")
         try:
-            return UnitaryOp(mat)
+            # Huge entries overflow U^dag U to inf; the unitarity check is NaN-safe.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return UnitaryOp(mat)
         except ValueError as exc:
             raise UsageError(f"matrix {spec} is not unitary: {exc}") from exc
 

@@ -22,8 +22,8 @@ from .qobj import (
     Ppovm,
     QState,
     UnitaryOp,
+    _pair_output_vec,
     clamp_probability,
-    pair_output_vector,
     ppovm_from_experiment,
 )
 from .symmetry import SymmetrySplit, build_split, qudit_dim
@@ -128,12 +128,12 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
     """
     split = build_split(qudit_dim(xi.dim))
     if kind == "antisym_optimal":
-        wrong, f_diff, f_inc = split.p_plus, split.p_plus, split.p_minus
+        f_diff, f_inc = split.p_plus, split.p_minus
     elif kind == "symmetric":
-        wrong, f_diff, f_inc = split.p_minus, split.p_minus, split.p_plus
+        f_diff, f_inc = split.p_minus, split.p_plus
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    if not (max_abs(wrong @ xi.mat @ wrong) <= ATOL):
+    if not (max_abs(f_diff @ xi.mat @ f_diff) <= ATOL):  # identical boxes must never fire 'diff'
         raise ValueError(f"test state has support outside the {kind} subspace")
     return Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
 
@@ -196,7 +196,7 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     haar_max = 0.0
     for _ in range(n_samples):
         u = haar_sample(d, rng)
-        w = pair_output_vector(u, u)  # tr(omega_{U,U} M) = <w|M|w>
+        w = _pair_output_vec(np.kron(u.mat, u.mat))  # tr(omega_{U,U} M) = <w|M|w>
         haar_max = max(haar_max, clamp_probability(float(np.vdot(w, m_diff @ w).real)))
     same_residual = None
     if SAME in ppovm.elements:

@@ -99,6 +99,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if any(type(x) is bool for pair in data for x in pair):  # complex() reads true/false as 1/0
+        raise ValueError("matrix entries must be numbers, not booleans")
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)

@@ -23,13 +23,25 @@ from .linalg import (
     SUM_ATOL,
     DimensionMismatchError,
     as_matrix,
-    is_hermitian,
     is_psd,
-    kron_stack,
     max_abs,
     tensor,
     trace_product,
 )
+
+
+def _positive_operator(mat, n: int, name: str) -> np.ndarray:
+    """mat as an n x n complex matrix, checked Hermitian and PSD; errors name the operator."""
+    m = as_matrix(mat)
+    if m.shape != (n, n):
+        raise DimensionMismatchError(f"{name} has shape {m.shape}, expected {(n, n)}")
+    try:
+        psd = is_psd(m)  # one Hermiticity pass, then one eigensolve
+    except ValueError:  # is_psd rejects a non-Hermitian input
+        raise ValueError(f"{name} is not Hermitian") from None
+    if not psd:
+        raise ValueError(f"{name} is not positive semidefinite")
+    return m
 
 
 class QState:
@@ -42,18 +54,13 @@ class QState:
     def __init__(self, mat, dim_factors: list[int] | None = None):
         m = as_matrix(mat)
         n = m.shape[0]
-        if m.shape != (n, n):
-            raise DimensionMismatchError(f"density operator must be square, got {m.shape}")
         if dim_factors is None:
             dim_factors = [n]
         if int(np.prod(dim_factors)) != n:
             raise DimensionMismatchError(f"dim_factors {dim_factors} inconsistent with dim {n}")
-        if not is_hermitian(m):
-            raise ValueError("density operator is not Hermitian")
+        m = _positive_operator(m, n, "density operator")
         if not (abs(np.trace(m).real - 1.0) <= ATOL and abs(np.trace(m).imag) <= ATOL):
             raise ValueError(f"density operator has trace {np.trace(m)}, expected 1")
-        if not is_psd(m):
-            raise ValueError("density operator is not positive semidefinite")
         self.mat = m
         self.dim_factors = [int(d) for d in dim_factors]
 
@@ -83,16 +90,8 @@ class ChoiOp:
     """Choi operator of a channel on a D-dimensional system (trace-D convention)."""
 
     def __init__(self, mat, d_sys: int):
-        m = as_matrix(mat)
         d_sys = int(d_sys)
-        if m.shape != (d_sys * d_sys, d_sys * d_sys):
-            raise DimensionMismatchError(
-                f"Choi operator for D={d_sys} must be {d_sys * d_sys} dimensional, got {m.shape}"
-            )
-        if not is_hermitian(m):
-            raise ValueError("Choi operator is not Hermitian")
-        if not is_psd(m):
-            raise ValueError("Choi operator is not positive semidefinite")
+        m = _positive_operator(mat, d_sys * d_sys, "Choi operator")
         if not (abs(np.trace(m).real - d_sys) <= CHOI_TRACE_ATOL):
             raise ValueError(f"Choi operator has trace {np.trace(m).real}, expected {d_sys}")
         self.mat = m
@@ -108,18 +107,8 @@ class Ppovm:
 
     def __init__(self, elements: dict[str, np.ndarray], rho: QState):
         d = rho.dim
-        elems: dict[str, np.ndarray] = {}
-        total = np.zeros((d * d, d * d), dtype=complex)
-        for label, m in elements.items():
-            m = as_matrix(m)
-            if m.shape != (d * d, d * d):
-                raise DimensionMismatchError(
-                    f"element {label!r} has shape {m.shape}, expected {(d * d, d * d)}"
-                )
-            if not is_psd(m):
-                raise ValueError(f"element {label!r} is not positive semidefinite")
-            elems[label] = m
-            total = total + m
+        elems = {label: _positive_operator(m, d * d, f"element {label!r}") for label, m in elements.items()}
+        total = sum(elems.values(), np.zeros((d * d, d * d), dtype=complex))
         expected = tensor(rho.mat.T, np.eye(d))
         if not (max_abs(total - expected) <= SUM_ATOL):
             raise ValueError("elements do not sum to rho^T (x) identity")
@@ -129,19 +118,6 @@ class Ppovm:
     @property
     def d_sys(self) -> int:
         return self.rho.dim
-
-
-def max_entangled_vec(dim: int) -> np.ndarray:
-    """Unnormalized vector sum_j |j>|j> on H_dim (x) H_dim."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    return np.eye(dim, dtype=complex).reshape(-1)
-
-
-def max_entangled(dim: int) -> np.ndarray:
-    """Rank-1 unnormalized projector onto the maximally entangled pair; trace dim."""
-    v = max_entangled_vec(dim)
-    return np.outer(v, v.conj())
 
 
 def _pair_output_vec(k: np.ndarray) -> np.ndarray:
@@ -154,26 +130,12 @@ def _pair_output_vec(k: np.ndarray) -> np.ndarray:
 
 
 def choi_of_unitary(u: UnitaryOp) -> ChoiOp:
-    """Choi operator of the channel X -> U X U^dagger."""
+    """Choi operator of the channel X -> U X U^dagger.
+
+    The identity gives the maximally entangled pair; boxes (U, V) in parallel are U (x) V.
+    """
     w = _pair_output_vec(u.mat)
     return ChoiOp(np.outer(w, w.conj()), u.dim)
-
-
-def pair_output_vector(u: UnitaryOp, v: UnitaryOp) -> np.ndarray:
-    """The pure output vector whose projector is choi_of_unitary_pair(u, v)."""
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"unitary dims {u.dim} and {v.dim} differ")
-    return _pair_output_vec(kron_stack(u.mat[None], v.mat[None])[0])
-
-
-def choi_of_unitary_pair(u: UnitaryOp, v: UnitaryOp) -> ChoiOp:
-    """Choi operator of the product channel applying U and V to the two qudits.
-
-    Rank 1 with trace d^2; the channel acts on legs (3,4) while legs (1,2)
-    hold the reference copy.
-    """
-    w = pair_output_vector(u, v)
-    return ChoiOp(np.outer(w, w.conj()), u.dim * v.dim)
 
 
 def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
@@ -184,18 +146,11 @@ def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
     for every channel E.
     """
     d = xi.dim
-    total = np.zeros((d, d), dtype=complex)
-    for label, f in effects.items():
-        f = as_matrix(f)
-        if f.shape != (d, d):
-            raise DimensionMismatchError(f"effect {label!r} has shape {f.shape}, expected {(d, d)}")
-        if not is_psd(f):
-            raise ValueError(f"effect {label!r} is not positive semidefinite")
-        total = total + f
+    effects = {label: _positive_operator(f, d, f"effect {label!r}") for label, f in effects.items()}
+    total = sum(effects.values(), np.zeros((d, d), dtype=complex))
     if not (max_abs(total - np.eye(d)) <= SUM_ATOL):
         raise ValueError("effects do not sum to the identity")
-    elements = {label: tensor(xi.mat.T, as_matrix(f)) for label, f in effects.items()}
-    return Ppovm(elements, xi)
+    return Ppovm({label: tensor(xi.mat.T, f) for label, f in effects.items()}, xi)
 
 
 def clamp_probability(p: float) -> float:

@@ -14,7 +14,7 @@ from chancomp.cli import main, resolve_gate
 from chancomp.comparator import ComparisonReport
 from chancomp.haar import _pair_choi_mean, haar_sample
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
-from chancomp.qobj import pair_output_vector
+from chancomp.qobj import UnitaryOp, choi_of_unitary
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -80,11 +80,13 @@ def test_compare_exit_codes(tmp_path):
 
 
 def test_non_finite_gate_files_rejected(tmp_path, capsys):
-    # Also dimensions that are not JSON integers: a float would be truncated
-    # and a bool read as 1.
+    # Also dimensions and entries that are not JSON numbers proper: a float
+    # would be truncated and a bool read as 1.  An entry of 1e308 overflows
+    # U^dagger U and must still exit 2 with no numpy warning.
     for name, entry, rows, cols in (("nan", float("nan"), 2, 2), ("inf", float("inf"), 2, 2),
                                     ("inf_rows", 1.0, float("inf"), 2), ("float_dims", 1.0, 2.7, 2.2),
-                                    ("whole_float_rows", 1.0, 2.0, 2), ("bool_rows", 1.0, True, 4)):
+                                    ("whole_float_rows", 1.0, 2.0, 2), ("bool_rows", 1.0, True, 4),
+                                    ("bool_entry", True, 2, 2), ("huge_entry", 1e308, 2, 2)):
         mat = matrix_to_json(np.eye(2))
         mat["data"][0] = [entry, 0.0]
         mat["rows"], mat["cols"] = rows, cols
@@ -280,8 +282,7 @@ def test_pair_choi_mean_matches_per_draw_outer_products():
         total = np.zeros((d**4, d**4), dtype=complex)
         for _ in range(n):
             u = haar_sample(d, rng)
-            w = pair_output_vector(u, u)
-            total += np.outer(w, w.conj())
+            total += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
         assert max_abs(got - total / n) <= 1e-12
 
 

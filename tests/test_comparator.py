@@ -26,7 +26,6 @@ from chancomp.qobj import (
     QState,
     UnitaryOp,
     choi_of_unitary,
-    choi_of_unitary_pair,
     outcome_probability,
 )
 from chancomp.symmetry import (
@@ -82,7 +81,7 @@ def test_twirl_choi_is_mean_of_identical_pairs():
     acc = np.zeros((16, 16), dtype=complex)
     for _ in range(n):
         u = haar_sample(d, rng)
-        acc += choi_of_unitary_pair(u, u).mat
+        acc += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
     assert max_abs(acc / n - twirl_choi(d).mat) <= 0.05
 
 
@@ -94,7 +93,7 @@ def test_identical_pair_choi_supported_inside_twirl_choi():
         comp = np.eye(support.shape[0]) - support
         for _ in range(5):
             u = haar_sample(d, rng)
-            omega = choi_of_unitary_pair(u, u).mat
+            omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
             assert max_abs(comp @ omega @ comp) <= 1e-10
 
 
@@ -195,7 +194,7 @@ def test_run_pair_matches_explicit_choi_trace():
                            - np.trace(elements["diff"]).real / (d * d)) <= 1e-12
                 for _ in range(3):
                     u, v = haar_sample(d, rng), haar_sample(d, rng)
-                    omega = choi_of_unitary_pair(u, v)
+                    omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, v.mat)))
                     report = run_pair(strategy, u, v)
                     assert abs(report.p_diff - outcome_probability(omega, elements["diff"])) <= 1e-12
                     assert abs(report.p_inconclusive

@@ -11,15 +11,13 @@ from chancomp.qobj import (
     QState,
     UnitaryOp,
     choi_of_unitary,
-    choi_of_unitary_pair,
-    max_entangled,
-    max_entangled_vec,
     outcome_probability,
     ppovm_from_experiment,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
+PAIR_VEC_2 = np.array([1, 0, 0, 1], dtype=complex)  # |00> + |11>
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 SINGLET = np.outer(SINGLET_VEC, SINGLET_VEC.conj())
 # Hand-built qubit exchange projectors: P- is the singlet, P+ the rest.
@@ -64,24 +62,28 @@ def test_unitary_validation():
         UnitaryOp(np.diag([1.0, 0.5]))
 
 
+def choi_of_pair(u, v):
+    """Choi operator of the product channel applying U and V to the two qudits."""
+    return choi_of_unitary(UnitaryOp(np.kron(u.mat, v.mat)))
+
+
 def test_max_entangled_basics():
-    vec = max_entangled_vec(2)
-    assert np.array_equal(vec, np.array([1, 0, 0, 1], dtype=complex))  # |00> + |11>
+    omega = choi_of_unitary(UnitaryOp(np.eye(2)))
+    assert np.array_equal(omega.mat, np.outer(PAIR_VEC_2, PAIR_VEC_2))
     for big_d in (4, 9):
-        proj = max_entangled(big_d)
+        proj = choi_of_unitary(UnitaryOp(np.eye(big_d))).mat
+        pair = sum(np.kron(e, e) for e in np.eye(big_d))  # sum_j |jj>
+        assert np.array_equal(proj, np.outer(pair, pair))
         assert abs(np.trace(proj).real - big_d) <= 1e-12
         legs = (proj / big_d).reshape(big_d, big_d, big_d, big_d)
         assert max_abs(np.einsum("ijkj->ik", legs) - np.eye(big_d) / big_d) <= 1e-12  # trace out factor 2
         assert max_abs(np.einsum("jijk->ik", legs) - np.eye(big_d) / big_d) <= 1e-12  # trace out factor 1
-    with pytest.raises(ValueError):
-        max_entangled(0)
 
 
 def test_max_entangled_four_leg_factorization():
     # For D=d^2 the pair must factorize over legs (1,3) and (2,4): the
     # amplitude at (i1,i2,i3,i4) is delta(i1,i3) * delta(i2,i4).
     d = 2
-    vec = max_entangled_vec(d * d)
     expected = np.zeros(d ** 4, dtype=complex)
     for i1 in range(d):
         for i2 in range(d):
@@ -89,22 +91,28 @@ def test_max_entangled_four_leg_factorization():
                 for i4 in range(d):
                     if i1 == i3 and i2 == i4:
                         expected[((i1 * d + i2) * d + i3) * d + i4] = 1.0
-    assert np.array_equal(vec, expected)
+    eye = UnitaryOp(np.eye(d))
+    assert np.array_equal(choi_of_pair(eye, eye).mat, np.outer(expected, expected))
 
 
 def test_choi_of_unitary_pair():
     eye = UnitaryOp(np.eye(2))
-    omega = choi_of_unitary_pair(eye, eye)
-    assert max_abs(omega.mat - max_entangled(4)) <= 1e-12
+    pair = sum(np.kron(e, e) for e in np.eye(4))  # sum_j |jj>
+    assert max_abs(choi_of_pair(eye, eye).mat - np.outer(pair, pair)) <= 1e-12
 
     rng = np.random.default_rng(10)
     u, v = haar_sample(2, rng), haar_sample(2, rng)
-    omega = choi_of_unitary_pair(u, v)
+    omega = choi_of_pair(u, v)
     assert abs(np.trace(omega.mat).real - 4.0) <= 1e-10
     vals = np.linalg.eigvalsh(omega.mat)
     assert np.sum(vals > 1e-10) == 1  # rank one
-    with pytest.raises(DimensionMismatchError):
-        choi_of_unitary_pair(haar_sample(2, rng), haar_sample(3, rng))
+    # Physical check: tr(omega (rho^T (x) F)) = tr((U (x) V) rho (U (x) V)^dagger F).
+    rho = random_density(rng, 4)
+    f = random_povm(rng, 4, 2)[0]
+    uv = tensor(u.mat, v.mat)
+    lhs = np.trace(omega.mat @ tensor(rho.T, f)).real
+    rhs = np.trace(uv @ rho @ uv.conj().T @ f).real
+    assert abs(lhs - rhs) <= 1e-10
 
 
 def test_choi_of_unitary_single_channel():
@@ -142,6 +150,10 @@ def test_ppovm_from_experiment_rejects_bad_effects():
         ppovm_from_experiment(xi, {"a": P_PLUS_2})  # does not sum to identity
     with pytest.raises(ValueError):
         ppovm_from_experiment(xi, {"a": -P_PLUS_2, "b": np.eye(4) + P_PLUS_2})
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="effect 'a' is not Hermitian"):
+        ppovm_from_experiment(xi, {"a": P_PLUS_2 + skew, "b": P_MINUS_2 - skew})
 
 
 def test_probability_equivalence_identity():
@@ -167,7 +179,7 @@ def test_outcome_probability_no_error_and_flip():
     xi = QState(SINGLET, [2, 2])
     ppovm = ppovm_from_experiment(xi, {"diff": P_PLUS_2, "inconclusive": P_MINUS_2})
     eye = UnitaryOp(np.eye(2))
-    omega_same = choi_of_unitary_pair(eye, eye)
+    omega_same = choi_of_pair(eye, eye)
     assert outcome_probability(omega_same, ppovm.elements["diff"]) <= 1e-12
 
     # State-vector oracle: (I (x) sx)|singlet> = (|00> - |11>)/sqrt(2),
@@ -175,7 +187,7 @@ def test_outcome_probability_no_error_and_flip():
     out_vec = tensor(np.eye(2), SX) @ SINGLET_VEC
     oracle = np.vdot(out_vec, P_PLUS_2 @ out_vec).real
     assert abs(oracle - 1.0) <= 1e-12
-    omega_flip = choi_of_unitary_pair(eye, UnitaryOp(SX))
+    omega_flip = choi_of_pair(eye, UnitaryOp(SX))
     assert abs(outcome_probability(omega_flip, ppovm.elements["diff"]) - oracle) <= 1e-10
 
 
@@ -184,7 +196,7 @@ def test_probabilities_sum_to_one():
     xi = QState(SINGLET, [2, 2])
     ppovm = ppovm_from_experiment(xi, {"diff": P_PLUS_2, "inconclusive": P_MINUS_2})
     for _ in range(10):
-        omega = choi_of_unitary_pair(haar_sample(2, rng), haar_sample(2, rng))
+        omega = choi_of_pair(haar_sample(2, rng), haar_sample(2, rng))
         ps = [outcome_probability(omega, m) for m in ppovm.elements.values()]
         assert all(p >= 0.0 for p in ps)
         assert abs(sum(ps) - 1.0) <= 1e-9
@@ -192,7 +204,7 @@ def test_probabilities_sum_to_one():
 
 def test_outcome_probability_rejects_out_of_range():
     eye = UnitaryOp(np.eye(2))
-    omega = choi_of_unitary_pair(eye, eye)
+    omega = choi_of_pair(eye, eye)
     with pytest.raises(ValueError):
         outcome_probability(omega, -0.5 * np.eye(16))
     with pytest.raises(ValueError):
@@ -205,7 +217,7 @@ def test_choi_validation():
     with pytest.raises(ValueError):
         ChoiOp(np.eye(4), 2)  # trace 4, expected 2
     with pytest.raises(ValueError):
-        ChoiOp(-max_entangled(2), 2)
+        ChoiOp(-np.outer(PAIR_VEC_2, PAIR_VEC_2), 2)
 
 
 def test_ppovm_validation_and_json_roundtrip():
@@ -218,3 +230,7 @@ def test_ppovm_validation_and_json_roundtrip():
     bad = {"diff": -good["diff"], "inconclusive": good["inconclusive"] + 2 * good["diff"]}
     with pytest.raises(ValueError):
         Ppovm(bad, xi)
+    skew = np.zeros((16, 16), dtype=complex)
+    skew[0, 1] = 1.0
+    with pytest.raises(ValueError, match="element 'diff' is not Hermitian"):
+        Ppovm({"diff": good["diff"] + skew, "inconclusive": good["inconclusive"] - skew}, xi)
