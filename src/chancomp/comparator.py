@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor, trace_product
-from .linalg import _conjugate_stack, kron_stack
 from .qobj import (
     ChoiOp,
     Ppovm,
@@ -54,9 +54,27 @@ class Strategy:
     def d(self) -> int:
         return qudit_dim(self.xi.dim)
 
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """xi's rank factor (see _rank_factor), computed once; make_strategy sets it up front."""
+        return _rank_factor(self.xi.mat, np.eye(self.xi.dim))
+
     @property
     def ppovm(self) -> Ppovm:
         return ppovm_from_experiment(self.xi, self.effects)
+
+
+def _rank_factor(xi: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Stack A of shape (r, d, d) with xi = sum_k vec(A_k) vec(A_k)^dagger (row-major vec).
+
+    A_k is an eigenvector of xi scaled by the root of its eigenvalue, for the
+    r eigenvalues above ATOL.  The eigensolve runs on support^dagger xi support,
+    support an isometry whose range holds xi's support.
+    """
+    vals, vecs = np.linalg.eigh(support.conj().T @ xi @ support)
+    keep = vals > ATOL
+    d = qudit_dim(len(xi))
+    return (support @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
@@ -128,14 +146,17 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
     """
     split = build_split(qudit_dim(xi.dim))
     if kind == "antisym_optimal":
-        f_diff, f_inc = split.p_plus, split.p_minus
+        f_diff, f_inc, support = split.p_plus, split.p_minus, split.basis_minus
     elif kind == "symmetric":
-        f_diff, f_inc = split.p_minus, split.p_plus
+        f_diff, f_inc, support = split.p_minus, split.p_plus, split.basis_plus
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if not (max_abs(f_diff @ xi.mat @ f_diff) <= ATOL):  # identical boxes must never fire 'diff'
         raise ValueError(f"test state has support outside the {kind} subspace")
-    return Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
+    strategy = Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
+    # Fill the cached factor from the d+- dim block just checked to hold xi.
+    strategy.__dict__["_factor"] = _rank_factor(xi.mat, support)
+    return strategy
 
 
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
@@ -148,13 +169,28 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
         raise DimensionMismatchError(
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
-    (out,) = _conjugate_stack(kron_stack(u.mat[None], v.mat[None]), strategy.xi.mat)
     p_diff, p_inc = (
-        clamp_probability(float(trace_product(out, strategy.effects[label]).real))
-        for label in (DIFF, INCONCLUSIVE)
+        clamp_probability(float(p))
+        for (p,) in _probabilities(strategy, u.mat[None], v.mat[None], (DIFF, INCONCLUSIVE))
     )
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
     return ComparisonReport(p_diff=p_diff, p_inconclusive=p_inc, verdict=verdict, seed=seed)
+
+
+def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, labels) -> np.ndarray:
+    """tr(F (U (x) V) xi (U (x) V)^dagger) per label's effect F, for each pair of the stacks u, v.
+
+    With xi = sum_k vec(A_k) vec(A_k)^dagger, the boxes map vec(A_k) to
+    w_k = vec(U A_k V^T), so each probability is sum_k <w_k|F|w_k>: O(r d^3 + r d^4)
+    per pair for a rank-r xi instead of the d^6 of conjugating xi.  u and v
+    have shape (n, d, d); the result has shape (len(labels), n).
+    """
+    n, d = len(u), strategy.d
+    w = (u[:, None] @ strategy._factor @ v[:, None].swapaxes(-1, -2)).reshape(-1, d * d)
+    w_conj = w.conj()
+    return np.stack(
+        [(w_conj * (w @ strategy.effects[label].T)).real.reshape(n, -1).sum(axis=1) for label in labels]
+    )
 
 
 def average_success(strategy: Strategy) -> float:
@@ -168,10 +204,8 @@ def average_success(strategy: Strategy) -> float:
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
-    f_diff, xi = strategy.effects[DIFF], strategy.xi.mat
     return _mc_mean(
-        np.einsum("kij,ji->k", _conjugate_stack(kron_stack(u, v), xi), f_diff).real
-        for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
+        _probabilities(strategy, u, v, (DIFF,))[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
     )
 
 

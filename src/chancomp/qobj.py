@@ -15,6 +15,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .linalg import (
@@ -44,25 +47,36 @@ def _positive_operator(mat, n: int, name: str) -> np.ndarray:
     return m
 
 
+def _dim_factor(f) -> int:
+    """One tensor factor dimension as a Python int: an integer >= 1 (numpy ints too), not a bool."""
+    try:
+        k = operator.index(f)
+    except TypeError:
+        k = 0
+    if isinstance(f, bool) or k < 1:
+        raise DimensionMismatchError(f"dim_factors entries must be integers >= 1, got {f!r}")
+    return k
+
+
 class QState:
     """Density operator: Hermitian, unit trace, positive semidefinite.
 
     dim_factors records the tensor-product structure of the carrier space
-    (defaults to a single factor).
+    (defaults to a single factor): integers >= 1, not booleans, whose
+    product is the dimension.
     """
 
     def __init__(self, mat, dim_factors: list[int] | None = None):
         m = as_matrix(mat)
         n = m.shape[0]
-        if dim_factors is None:
-            dim_factors = [n]
-        if int(np.prod(dim_factors)) != n:
-            raise DimensionMismatchError(f"dim_factors {dim_factors} inconsistent with dim {n}")
+        factors = [_dim_factor(f) for f in ([n] if dim_factors is None else dim_factors)]
+        if math.prod(factors) != n:
+            raise DimensionMismatchError(f"dim_factors {factors} inconsistent with dim {n}")
         m = _positive_operator(m, n, "density operator")
         if not (abs(np.trace(m).real - 1.0) <= ATOL and abs(np.trace(m).imag) <= ATOL):
             raise ValueError(f"density operator has trace {np.trace(m)}, expected 1")
         self.mat = m
-        self.dim_factors = [int(d) for d in dim_factors]
+        self.dim_factors = factors
 
     @property
     def dim(self) -> int:

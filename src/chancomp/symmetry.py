@@ -55,8 +55,16 @@ def swap_operator(d: int) -> np.ndarray:
     return s.swapaxes(0, 1).reshape(d * d, d * d)
 
 
+_SPLITS: dict[int, SymmetrySplit] = {}
+
+
 def build_split(d: int) -> SymmetrySplit:
-    """Construct the symmetric/antisymmetric decomposition for qudit dimension d."""
+    """The symmetric/antisymmetric decomposition for qudit dimension d.
+
+    Built once per d and shared by every caller, so its arrays are read-only.
+    """
+    if d in _SPLITS:
+        return _SPLITS[d]
     if d < 2:
         raise ValueError(f"split needs d >= 2, got {d}")
     s = swap_operator(d)
@@ -75,7 +83,7 @@ def build_split(d: int) -> SymmetrySplit:
 
     plus_cols = [pair_vec(j, k, +1) for j in range(d) for k in range(j, d)]
     minus_cols = [pair_vec(j, k, -1) for j in range(d) for k in range(j + 1, d)]
-    return SymmetrySplit(
+    split = SymmetrySplit(
         d=d,
         swap=s,
         p_plus=p_plus,
@@ -83,6 +91,10 @@ def build_split(d: int) -> SymmetrySplit:
         basis_plus=np.column_stack(plus_cols),
         basis_minus=np.column_stack(minus_cols),
     )
+    for a in (split.swap, split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
+        a.flags.writeable = False
+    _SPLITS[d] = split
+    return split
 
 
 def _subspace_state(basis: np.ndarray, purity: str, rng: np.random.Generator) -> np.ndarray:

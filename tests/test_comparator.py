@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from chancomp.comparator import (
+    DIFF,
+    INCONCLUSIVE,
+    Strategy,
     _cross_schur_complement,
     average_success,
     average_success_mc,
@@ -46,6 +49,26 @@ def physical_p_diff(strategy, u, v):
     uv = np.kron(u.mat, v.mat)
     out = uv @ strategy.xi.mat @ uv.conj().T
     return np.trace(out @ strategy.effects["diff"]).real
+
+
+def dense_probability(xi, f, u, v):
+    """tr(F (U (x) V) xi (U (x) V)^dag) with the dense d^2 x d^2 matrices."""
+    uv = np.kron(u, v)
+    return np.trace(f @ uv @ xi @ uv.conj().T).real
+
+
+def rank_two_state(basis, rng):
+    """Random rank-2 mixed state on the column span of basis."""
+    g = rng.normal(size=(basis.shape[1], 2)) + 1j * rng.normal(size=(basis.shape[1], 2))
+    w = g @ g.conj().T
+    return QState(basis @ (w / np.trace(w).real) @ basis.conj().T)
+
+
+def factor_and_rebuild(strategy):
+    """Factor stack A of the strategy and the xi it rebuilds, sum_k vec(A_k) vec(A_k)^dag."""
+    a = strategy._factor
+    vecs = a.reshape(len(a), -1)
+    return a, vecs.T @ vecs.conj()
 
 
 def test_twirl_choi_structure():
@@ -128,7 +151,7 @@ def test_run_pair_no_error_on_identical_channels():
     # Both named strategies are unambiguous: identical channels, also up to
     # a global phase, never trigger the conclusive outcome.
     rng = np.random.default_rng(42)
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5, 6):
         strategies = [
             make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng)),
             make_strategy("symmetric", random_symmetric_state(d, "mixed", rng)),
@@ -199,6 +222,81 @@ def test_run_pair_matches_explicit_choi_trace():
                     assert abs(report.p_diff - outcome_probability(omega, elements["diff"])) <= 1e-12
                     assert abs(report.p_inconclusive
                                - outcome_probability(omega, elements["inconclusive"])) <= 1e-12
+
+
+def test_run_pair_matches_dense_state_oracle():
+    # Differential test of the rank-factored evaluation against the state
+    # sent through U (x) V densely, for pure, mixed, uniform and rank-2 xi.
+    rng = np.random.default_rng(65)
+    for d in (2, 3, 4, 5, 6):
+        split = build_split(d)
+        for kind, sampler, uniform, basis in (
+            ("antisym_optimal", random_antisymmetric_state, uniform_antisymmetric_state, split.basis_minus),
+            ("symmetric", random_symmetric_state, uniform_symmetric_state, split.basis_plus),
+        ):
+            states = [sampler(d, "pure", rng), sampler(d, "mixed", rng), uniform(d)]
+            if basis.shape[1] > 2:
+                states.append(rank_two_state(basis, rng))
+            for xi in states:
+                strategy = make_strategy(kind, xi)
+                for _ in range(2):
+                    u, v = haar_sample(d, rng), haar_sample(d, rng)
+                    for pair in ((u, v), (u, u)):
+                        report = run_pair(strategy, *pair)
+                        mats = [g.mat for g in pair]
+                        for p, label in ((report.p_diff, DIFF), (report.p_inconclusive, INCONCLUSIVE)):
+                            expected = dense_probability(xi.mat, strategy.effects[label], *mats)
+                            assert abs(p - expected) <= 1e-12
+
+
+def test_rank_factor_rebuilds_xi_with_its_rank():
+    rng = np.random.default_rng(66)
+    for d in (2, 3, 5, 6):
+        split = build_split(d)
+        cases = [
+            ("antisym_optimal", random_antisymmetric_state(d, "pure", rng), 1),
+            ("symmetric", random_symmetric_state(d, "pure", rng), 1),
+            ("antisym_optimal", uniform_antisymmetric_state(d), split.dim_minus),
+            ("symmetric", uniform_symmetric_state(d), split.dim_plus),
+            ("symmetric", rank_two_state(split.basis_plus, rng), 2),
+            ("antisym_optimal", random_antisymmetric_state(d, "mixed", rng), split.dim_minus),
+        ]
+        for kind, xi, rank in cases:
+            # make_strategy factors xi on its subspace; a hand-built Strategy on the whole space.
+            for strategy in (make_strategy(kind, xi), Strategy(xi, make_strategy(kind, xi).effects)):
+                a, rebuilt = factor_and_rebuild(strategy)
+                assert a.shape == (rank, d, d)
+                assert max_abs(rebuilt - xi.mat) <= 1e-10
+                assert strategy._factor is a  # computed once
+
+
+def test_run_pair_with_general_effects():
+    # Effects stay general: a random non-projector F with I - F, a random
+    # full-rank xi, against the dense oracle and the process-POVM trace.
+    rng = np.random.default_rng(67)
+    d = 3
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    f = g @ g.conj().T
+    f /= 1.5 * np.linalg.eigvalsh(f)[-1]
+    assert max_abs(f @ f - f) > 0.1
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    xi = QState(g @ g.conj().T / np.trace(g @ g.conj().T).real, [d, d])
+    strategy = Strategy(xi, {DIFF: f, INCONCLUSIVE: np.eye(d * d) - f})
+    assert len(strategy._factor) == d * d
+    elements = strategy.ppovm.elements
+    for _ in range(5):
+        u, v = haar_sample(d, rng), haar_sample(d, rng)
+        report = run_pair(strategy, u, v)
+        omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, v.mat)))
+        for p, label in ((report.p_diff, DIFF), (report.p_inconclusive, INCONCLUSIVE)):
+            assert abs(p - dense_probability(xi.mat, strategy.effects[label], u.mat, v.mat)) <= 1e-12
+            assert abs(p - outcome_probability(omega, elements[label])) <= 1e-12
+    # The Monte Carlo path shares the evaluation: per-draw values from a twin generator.
+    est = average_success_mc(strategy, 70, np.random.default_rng(68))
+    twin = np.random.default_rng(68)
+    draws = [dense_probability(xi.mat, f, haar_sample(d, twin).mat, haar_sample(d, twin).mat) for _ in range(70)]
+    assert abs(est.mean - np.mean(draws)) <= 1e-12
+    assert abs(est.std_error - np.std(draws, ddof=1) / np.sqrt(70)) <= 1e-12
 
 
 def test_run_pair_dimension_mismatch():

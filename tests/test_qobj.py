@@ -56,6 +56,22 @@ def test_qstate_validation():
         QState(np.eye(4) / 4, dim_factors=[2, 3])
 
 
+def test_qstate_dim_factors_are_integers():
+    state = QState(np.eye(4) / 4, dim_factors=[np.int64(2), 2])
+    assert state.dim_factors == [2, 2] and all(type(f) is int for f in state.dim_factors)
+    assert QState(np.eye(4) / 4, dim_factors=(1, 4, 1)).dim_factors == [1, 4, 1]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[2, 0.5, 4], [2, 2.0], [-2, -2], [0, 4], [True, 4], [4, np.True_], ["2", "2"]],
+    ids=["fraction", "float", "negative", "zero", "bool", "numpy_bool", "string"],
+)
+def test_qstate_rejects_non_integer_dim_factors(factors):
+    with pytest.raises(DimensionMismatchError, match="integers >= 1"):
+        QState(np.eye(4) / 4, dim_factors=factors)
+
+
 def test_unitary_validation():
     UnitaryOp(np.eye(3))
     with pytest.raises(ValueError):

@@ -95,6 +95,18 @@ def test_build_split_rejects_small_d():
         build_split(1)
 
 
+def test_build_split_is_built_once_per_d_and_read_only():
+    split = build_split(4)
+    assert build_split(4) is split
+    assert build_split(np.int64(4)) is split
+    assert build_split(3) is not split
+    for a in (split.swap, split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        split.p_plus += 1.0
+
+
 def test_antisymmetric_sampler_qubit_is_singlet():
     rng = np.random.default_rng(22)
     singlet_proj = np.outer(SINGLET_VEC, SINGLET_VEC.conj())
