@@ -57,24 +57,32 @@ class Strategy:
     @cached_property
     def _factor(self) -> np.ndarray:
         """xi's rank factor (see _rank_factor), computed once; make_strategy sets it up front."""
-        return _rank_factor(self.xi.mat, np.eye(self.xi.dim))
+        return _rank_factor(self.xi.mat)
 
     @property
     def ppovm(self) -> Ppovm:
         return ppovm_from_experiment(self.xi, self.effects)
 
 
-def _rank_factor(xi: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _off_support(x: np.ndarray, support: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_abs(x - support support^dagger x), cross terms included, and support^dagger x; O(d+- d^4)."""
+    sx = support.conj().T @ x
+    return max_abs(x - support @ sx), sx
+
+
+def _rank_factor(block: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
     """Stack A of shape (r, d, d) with xi = sum_k vec(A_k) vec(A_k)^dagger (row-major vec).
 
     A_k is an eigenvector of xi scaled by the root of its eigenvalue, for the
-    r eigenvalues above ATOL.  The eigensolve runs on support^dagger xi support,
-    support an isometry whose range holds xi's support.
+    r eigenvalues above ATOL.  block is support^dagger xi support, support an
+    isometry whose range holds xi's support; with no support, block is xi.
     """
-    vals, vecs = np.linalg.eigh(support.conj().T @ xi @ support)
+    vals, vecs = np.linalg.eigh(block)
     keep = vals > ATOL
-    d = qudit_dim(len(xi))
-    return (support @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
+    a = vecs[:, keep] * np.sqrt(vals[keep])
+    a = a if support is None else support @ a
+    d = qudit_dim(len(a))
+    return a.T.reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,6 @@ def twirl_choi(d: int) -> ChoiOp:
     it is also the Haar average of the Choi operators of identical pairs,
     which is what makes its orthocomplement the home of M_diff.
     """
-    if d < 2:
-        raise ValueError(f"twirl_choi needs d >= 2, got {d}")
     split = build_split(d)
     mat = (
         tensor(split.p_plus, split.p_plus) / split.dim_plus
@@ -151,11 +157,13 @@ def make_strategy(kind: str, xi: QState) -> Strategy:
         f_diff, f_inc, support = split.p_minus, split.p_plus, split.basis_plus
     else:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    if not (max_abs(f_diff @ xi.mat @ f_diff) <= ATOL):  # identical boxes must never fire 'diff'
-        raise ValueError(f"test state has support outside the {kind} subspace")
+    leak, sx = _off_support(xi.mat, support)
+    if not (leak <= ATOL):  # identical boxes must never fire 'diff'
+        raise ValueError(f"test state has support outside the {kind} subspace "
+                         f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
     strategy = Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
     # Fill the cached factor from the d+- dim block just checked to hold xi.
-    strategy.__dict__["_factor"] = _rank_factor(xi.mat, support)
+    strategy.__dict__["_factor"] = _rank_factor(sx @ support, support)
     return strategy
 
 
@@ -298,8 +306,6 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
     on the full space.  rho defaults to a random full-rank two-qudit state; a
     rank-deficient rho misaligned with K degenerates to lambda = 0.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
     split = build_split(d)
     dd = d * d
     if rho is None:
@@ -338,13 +344,9 @@ def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
 
     success_residual = abs(float(np.trace(m_diff).real) / (d * d) - success_bound(d))
     struct_residual = max_abs(m_diff - tensor(rho_t, split.p_plus))
-    support_residual = max_abs(split.p_plus @ rho_t @ split.p_plus)
+    support_residual, _ = _off_support(rho_t, split.basis_minus)
 
-    ok = (
-        success_residual <= SUM_ATOL
-        and struct_residual <= STRUCT_ATOL
-        and support_residual <= STRUCT_ATOL
-    )
+    ok = success_residual <= SUM_ATOL and struct_residual <= STRUCT_ATOL and support_residual <= STRUCT_ATOL
     return UniquenessProbe(
         optimal_form=ok,
         deviation=max(success_residual, struct_residual, support_residual),

@@ -23,7 +23,7 @@ from chancomp.comparator import (
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import DimensionMismatchError, max_abs, tensor
+from chancomp.linalg import STRUCT_ATOL, DimensionMismatchError, max_abs, tensor
 from chancomp.qobj import (
     Ppovm,
     QState,
@@ -44,13 +44,6 @@ SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 SINGLET = np.outer(SINGLET_VEC, SINGLET_VEC.conj())
 
 
-def physical_p_diff(strategy, u, v):
-    """State-evolution oracle for the detection probability."""
-    uv = np.kron(u.mat, v.mat)
-    out = uv @ strategy.xi.mat @ uv.conj().T
-    return np.trace(out @ strategy.effects["diff"]).real
-
-
 def dense_probability(xi, f, u, v):
     """tr(F (U (x) V) xi (U (x) V)^dag) with the dense d^2 x d^2 matrices."""
     uv = np.kron(u, v)
@@ -62,6 +55,21 @@ def rank_two_state(basis, rng):
     g = rng.normal(size=(basis.shape[1], 2)) + 1j * rng.normal(size=(basis.shape[1], 2))
     w = g @ g.conj().T
     return QState(basis @ (w / np.trace(w).real) @ basis.conj().T)
+
+
+def leaking_state(basis, leak_basis, eps, rng):
+    """Pure state sqrt(1 - eps) a + sqrt(eps) s, a and s random unit vectors on the two bases.
+
+    Its block on the span of leak_basis is at most eps, while its cross terms
+    are of order sqrt(eps).
+    """
+
+    def unit(b):
+        c = rng.normal(size=b.shape[1]) + 1j * rng.normal(size=b.shape[1])
+        return b @ c / np.linalg.norm(c)
+
+    psi = np.sqrt(1 - eps) * unit(basis) + np.sqrt(eps) * unit(leak_basis)
+    return QState(np.outer(psi, psi.conj()))
 
 
 def factor_and_rebuild(strategy):
@@ -139,12 +147,28 @@ def test_make_strategy_symmetric_product_state():
 def test_make_strategy_rejects_support_mismatch():
     ket00 = np.zeros((4, 4), dtype=complex)
     ket00[0, 0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"outside the antisym_optimal subspace \(largest entry off it 1\.0e\+00 > 1e-10\)"):
         make_strategy("antisym_optimal", QState(ket00, [2, 2]))
     with pytest.raises(ValueError):
         make_strategy("symmetric", QState(SINGLET, [2, 2]))
     with pytest.raises(ValueError):
         make_strategy("bogus", QState(SINGLET, [2, 2]))
+
+
+def test_make_strategy_rejects_cross_block_leakage():
+    # A state whose block on the wrong subspace stays below ATOL still leaks
+    # through its cross terms; the support test measures those too.
+    rng = np.random.default_rng(69)
+    for d in (2, 3, 4):
+        split = build_split(d)
+        for kind, basis, leak_basis, p_leak in (
+            ("antisym_optimal", split.basis_minus, split.basis_plus, split.p_plus),
+            ("symmetric", split.basis_plus, split.basis_minus, split.p_minus),
+        ):
+            xi = leaking_state(basis, leak_basis, 5e-11, rng)
+            assert max_abs(p_leak @ xi.mat @ p_leak) <= 1e-10
+            with pytest.raises(ValueError, match=rf"outside the {kind} subspace \(largest entry off it .* > 1e-10\)"):
+                make_strategy(kind, xi)
 
 
 def test_run_pair_no_error_on_identical_channels():
@@ -200,7 +224,8 @@ def test_run_pair_closed_form_general_pairs():
         report = run_pair(strategy, u, v)
         closed_form = 1.0 - abs(np.trace(u.mat.conj().T @ v.mat)) ** 2 / 4
         assert abs(report.p_diff - closed_form) <= 1e-10
-        assert abs(report.p_diff - physical_p_diff(strategy, u, v)) <= 1e-10
+        expected = dense_probability(strategy.xi.mat, strategy.effects[DIFF], u.mat, v.mat)
+        assert abs(report.p_diff - expected) <= 1e-10
 
 
 def test_run_pair_matches_explicit_choi_trace():
@@ -387,6 +412,8 @@ def test_verify_no_error_flags_same_element():
 
 def test_random_unambiguous_ppovm_properties():
     rng = np.random.default_rng(53)
+    with pytest.raises(ValueError):
+        random_unambiguous_ppovm(1, rng)
     for d in (2, 3):
         bound = success_bound(d)
         for _ in range(100):
@@ -515,6 +542,21 @@ def test_uniqueness_probe_rejects_symmetric_and_random():
             success = np.trace(ppovm.elements["diff"]).real / (d * d)
             assert success < success_bound(d) - 0.01
             assert probe.deviation > 1e-3
+
+
+def test_uniqueness_probe_rejects_leaking_reference_state():
+    # M_diff = rho^T (x) P+ at the bound, but rho leaks into the symmetric
+    # subspace through cross terms while its symmetric block stays small.
+    rng = np.random.default_rng(70)
+    for d in (2, 3):
+        split = build_split(d)
+        rho = leaking_state(split.basis_minus, split.basis_plus, 1e-7, rng)
+        rho_t = rho.mat.T
+        assert max_abs(split.p_plus @ rho_t @ split.p_plus) <= STRUCT_ATOL
+        ppovm = Ppovm({DIFF: tensor(rho_t, split.p_plus), INCONCLUSIVE: tensor(rho_t, split.p_minus)}, rho)
+        probe = uniqueness_probe(ppovm)
+        assert not probe.optimal_form
+        assert probe.deviation > STRUCT_ATOL
 
 
 def test_sequential_witness_identity_case():
