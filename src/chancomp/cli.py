@@ -216,7 +216,7 @@ def cmd_twirl_verify(args) -> int:
     herm = (herm + herm.conj().T) / 2
     battery = {
         "identity": np.eye(dd, dtype=complex),
-        "swap": split.swap,
+        "swap": split.p_plus - split.p_minus,
         "p_plus": split.p_plus,
         "p_minus": split.p_minus,
         "ket01_proj": basis_op(1, 1),

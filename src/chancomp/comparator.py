@@ -10,8 +10,7 @@ attained exactly by M_diff = xi^T (x) P+ with an antisymmetric test state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,26 +37,56 @@ def success_bound(d: int) -> float:
     return (d + 1) / (2 * d)
 
 
+# Swap eigenvalue whose outcome reads 'diff', per strategy kind.  The test
+# state lives on the other eigenspace; identical boxes U (x) U commute with the
+# swap and keep it there, so they never fire 'diff'.
+_DIFF_SWAP_SIGN = {"antisym_optimal": 1, "symmetric": -1}
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """A comparison strategy: test state xi plus one effect per outcome label.
+    """A comparison strategy: send the test state xi through the two boxes, then measure the swap.
 
-    The physical recipe: send xi through the two boxes, then measure the
-    effects on the two-qudit output.  ppovm is the same experiment's process
-    POVM, xi^T (x) F per label, built densely on demand.
+    kind picks the swap eigenspace that reads 'diff': P+ for
+    'antisym_optimal', P- for 'symmetric'.  xi must lie on the other
+    eigenspace; construction checks that and factors xi on it once.
+    effects (P+ and P- per label) and ppovm (xi^T (x) F per label) are dense
+    views built on demand.
     """
 
     xi: QState
-    effects: dict[str, np.ndarray]
+    kind: str
+    # Stack A of shape (r, d, d) with xi = sum_k vec(A_k) vec(A_k)^dagger
+    # (row-major vec): xi's eigenvectors for the r eigenvalues above ATOL,
+    # each scaled by the root of its eigenvalue.
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _DIFF_SWAP_SIGN:
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        split = build_split(self.d)
+        support = split.basis_minus if self._sign > 0 else split.basis_plus
+        leak, sx = _off_support(self.xi.mat, support)
+        if not (leak <= ATOL):  # identical boxes must never fire 'diff'
+            raise ValueError(f"test state has support outside the {self.kind} subspace "
+                             f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
+        vals, vecs = np.linalg.eigh(sx @ support)  # xi on the block just checked to hold it
+        keep = vals > ATOL
+        a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))
+        object.__setattr__(self, "_factor", a.T.reshape(-1, self.d, self.d))
 
     @property
     def d(self) -> int:
         return qudit_dim(self.xi.dim)
 
-    @cached_property
-    def _factor(self) -> np.ndarray:
-        """xi's rank factor (see _rank_factor), computed once; make_strategy sets it up front."""
-        return _rank_factor(self.xi.mat)
+    @property
+    def _sign(self) -> int:
+        return _DIFF_SWAP_SIGN[self.kind]
+
+    @property
+    def effects(self) -> dict[str, np.ndarray]:
+        split = build_split(self.d)
+        return dict(zip((DIFF, INCONCLUSIVE), (split.p_plus, split.p_minus)[::self._sign]))
 
     @property
     def ppovm(self) -> Ppovm:
@@ -68,21 +97,6 @@ def _off_support(x: np.ndarray, support: np.ndarray) -> tuple[float, np.ndarray]
     """max_abs(x - support support^dagger x), cross terms included, and support^dagger x; O(d+- d^4)."""
     sx = support.conj().T @ x
     return max_abs(x - support @ sx), sx
-
-
-def _rank_factor(block: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-    """Stack A of shape (r, d, d) with xi = sum_k vec(A_k) vec(A_k)^dagger (row-major vec).
-
-    A_k is an eigenvector of xi scaled by the root of its eigenvalue, for the
-    r eigenvalues above ATOL.  block is support^dagger xi support, support an
-    isometry whose range holds xi's support; with no support, block is xi.
-    """
-    vals, vecs = np.linalg.eigh(block)
-    keep = vals > ATOL
-    a = vecs[:, keep] * np.sqrt(vals[keep])
-    a = a if support is None else support @ a
-    d = qudit_dim(len(a))
-    return a.T.reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
@@ -144,27 +158,13 @@ def twirl_choi(d: int) -> ChoiOp:
 
 
 def make_strategy(kind: str, xi: QState) -> Strategy:
-    """Build a named comparison strategy around the test state xi.
+    """Build a named comparison strategy around the test state xi: Strategy(xi, kind).
 
-    'antisym_optimal' pairs an antisymmetric xi with the symmetric-outcome
-    effect (conclusive on P+); 'symmetric' swaps the roles.  The test state
-    must be supported on the matching subspace.
+    'antisym_optimal' takes an antisymmetric xi and reads 'diff' on P+;
+    'symmetric' swaps the roles.  Raises ValueError for an unknown kind or an
+    xi with support outside the matching subspace.
     """
-    split = build_split(qudit_dim(xi.dim))
-    if kind == "antisym_optimal":
-        f_diff, f_inc, support = split.p_plus, split.p_minus, split.basis_minus
-    elif kind == "symmetric":
-        f_diff, f_inc, support = split.p_minus, split.p_plus, split.basis_plus
-    else:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    leak, sx = _off_support(xi.mat, support)
-    if not (leak <= ATOL):  # identical boxes must never fire 'diff'
-        raise ValueError(f"test state has support outside the {kind} subspace "
-                         f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
-    strategy = Strategy(xi=xi, effects={DIFF: f_diff, INCONCLUSIVE: f_inc})
-    # Fill the cached factor from the d+- dim block just checked to hold xi.
-    strategy.__dict__["_factor"] = _rank_factor(sx @ support, support)
-    return strategy
+    return Strategy(xi, kind)
 
 
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
@@ -178,42 +178,42 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
     p_diff, p_inc = (
-        clamp_probability(float(p))
-        for (p,) in _probabilities(strategy, u.mat[None], v.mat[None], (DIFF, INCONCLUSIVE))
+        clamp_probability(float(p)) for (p,) in _probabilities(strategy, u.mat[None], v.mat[None])
     )
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
     return ComparisonReport(p_diff=p_diff, p_inconclusive=p_inc, verdict=verdict, seed=seed)
 
 
-def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, labels) -> np.ndarray:
-    """tr(F (U (x) V) xi (U (x) V)^dagger) per label's effect F, for each pair of the stacks u, v.
+def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """p_diff and p_inconclusive, shape (2, n), for each pair of the stacks u, v of shape (n, d, d).
 
     With xi = sum_k vec(A_k) vec(A_k)^dagger, the boxes map vec(A_k) to
-    w_k = vec(U A_k V^T), so each probability is sum_k <w_k|F|w_k>: O(r d^3 + r d^4)
-    per pair for a rank-r xi instead of the d^6 of conjugating xi.  u and v
-    have shape (n, d, d); the result has shape (len(labels), n).
+    w_k = vec(W_k), W_k = U A_k V^T, and the swap maps w_k to vec(W_k^T).  So
+    P+- = sum_k <w_k|(w_k +- S w_k)> / 2: O(r d^3) per pair for a rank-r xi
+    instead of the d^6 of conjugating xi.
     """
-    n, d = len(u), strategy.d
-    w = (u[:, None] @ strategy._factor @ v[:, None].swapaxes(-1, -2)).reshape(-1, d * d)
-    w_conj = w.conj()
-    return np.stack(
-        [(w_conj * (w @ strategy.effects[label].T)).real.reshape(n, -1).sum(axis=1) for label in labels]
-    )
+    n = len(u)
+    w = u[:, None] @ strategy._factor @ v[:, None].swapaxes(-1, -2)
+    # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
+    plus = ((w + w.swapaxes(-1, -2)).conj() * w).real.reshape(n, -1).sum(axis=1)
+    minus = ((w - w.swapaxes(-1, -2)).conj() * w).real.reshape(n, -1).sum(axis=1)
+    return np.stack((plus, minus)[::strategy._sign]) / 2  # the 'diff' row first
 
 
 def average_success(strategy: Strategy) -> float:
-    """Average probability of detecting a difference: tr(M_diff) / d^2 = tr(F_diff) / d^2.
+    """Average probability of detecting a difference: tr(M_diff) / d^2 = dim_+- / d^2.
 
-    The two agree because tr(xi^T (x) F) = tr(xi) tr(F) and tr(xi) = 1.
+    tr(xi^T (x) F_diff) = tr(xi) tr(F_diff) with tr(xi) = 1, and F_diff
+    projects onto a swap eigenspace of dimension d(d +- 1)/2.
     """
     d = strategy.d
-    return float(np.trace(strategy.effects[DIFF]).real) / (d * d)
+    return d * (d + strategy._sign) // 2 / (d * d)
 
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
     return _mc_mean(
-        _probabilities(strategy, u, v, (DIFF,))[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
+        _probabilities(strategy, u, v)[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
     )
 
 

@@ -19,14 +19,13 @@ from .qobj import QState
 
 @dataclass(frozen=True)
 class SymmetrySplit:
-    """Swap operator, projectors and orthonormal bases of the two subspaces.
+    """Projectors and orthonormal bases of the two swap eigenspaces.
 
     basis_plus / basis_minus hold the basis vectors as columns, so each
     projector is reconstructed as B @ B^dagger.
     """
 
     d: int
-    swap: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
     basis_plus: np.ndarray
@@ -85,13 +84,12 @@ def build_split(d: int) -> SymmetrySplit:
     minus_cols = [pair_vec(j, k, -1) for j in range(d) for k in range(j + 1, d)]
     split = SymmetrySplit(
         d=d,
-        swap=s,
         p_plus=p_plus,
         p_minus=p_minus,
         basis_plus=np.column_stack(plus_cols),
         basis_minus=np.column_stack(minus_cols),
     )
-    for a in (split.swap, split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
+    for a in (split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
         a.flags.writeable = False
     _SPLITS[d] = split
     return split

@@ -151,8 +151,11 @@ def test_make_strategy_rejects_support_mismatch():
         make_strategy("antisym_optimal", QState(ket00, [2, 2]))
     with pytest.raises(ValueError):
         make_strategy("symmetric", QState(SINGLET, [2, 2]))
-    with pytest.raises(ValueError):
-        make_strategy("bogus", QState(SINGLET, [2, 2]))
+    for kind in ("bogus", "", "Symmetric"):
+        with pytest.raises(ValueError, match="unknown strategy kind"):
+            make_strategy(kind, QState(SINGLET, [2, 2]))
+        with pytest.raises(ValueError, match="unknown strategy kind"):
+            Strategy(QState(SINGLET, [2, 2]), kind)
 
 
 def test_make_strategy_rejects_cross_block_leakage():
@@ -167,8 +170,9 @@ def test_make_strategy_rejects_cross_block_leakage():
         ):
             xi = leaking_state(basis, leak_basis, 5e-11, rng)
             assert max_abs(p_leak @ xi.mat @ p_leak) <= 1e-10
-            with pytest.raises(ValueError, match=rf"outside the {kind} subspace \(largest entry off it .* > 1e-10\)"):
-                make_strategy(kind, xi)
+            for build in (make_strategy, lambda kind, xi: Strategy(xi, kind)):
+                with pytest.raises(ValueError, match=rf"outside the {kind} subspace \(largest entry off it .* > 1e-10\)"):
+                    build(kind, xi)
 
 
 def test_run_pair_no_error_on_identical_channels():
@@ -253,7 +257,7 @@ def test_run_pair_matches_dense_state_oracle():
     # Differential test of the rank-factored evaluation against the state
     # sent through U (x) V densely, for pure, mixed, uniform and rank-2 xi.
     rng = np.random.default_rng(65)
-    for d in (2, 3, 4, 5, 6):
+    for d in (2, 3, 4, 5, 6, 8):
         split = build_split(d)
         for kind, sampler, uniform, basis in (
             ("antisym_optimal", random_antisymmetric_state, uniform_antisymmetric_state, split.basis_minus),
@@ -287,41 +291,9 @@ def test_rank_factor_rebuilds_xi_with_its_rank():
             ("antisym_optimal", random_antisymmetric_state(d, "mixed", rng), split.dim_minus),
         ]
         for kind, xi, rank in cases:
-            # make_strategy factors xi on its subspace; a hand-built Strategy on the whole space.
-            for strategy in (make_strategy(kind, xi), Strategy(xi, make_strategy(kind, xi).effects)):
-                a, rebuilt = factor_and_rebuild(strategy)
-                assert a.shape == (rank, d, d)
-                assert max_abs(rebuilt - xi.mat) <= 1e-10
-                assert strategy._factor is a  # computed once
-
-
-def test_run_pair_with_general_effects():
-    # Effects stay general: a random non-projector F with I - F, a random
-    # full-rank xi, against the dense oracle and the process-POVM trace.
-    rng = np.random.default_rng(67)
-    d = 3
-    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    f = g @ g.conj().T
-    f /= 1.5 * np.linalg.eigvalsh(f)[-1]
-    assert max_abs(f @ f - f) > 0.1
-    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    xi = QState(g @ g.conj().T / np.trace(g @ g.conj().T).real, [d, d])
-    strategy = Strategy(xi, {DIFF: f, INCONCLUSIVE: np.eye(d * d) - f})
-    assert len(strategy._factor) == d * d
-    elements = strategy.ppovm.elements
-    for _ in range(5):
-        u, v = haar_sample(d, rng), haar_sample(d, rng)
-        report = run_pair(strategy, u, v)
-        omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, v.mat)))
-        for p, label in ((report.p_diff, DIFF), (report.p_inconclusive, INCONCLUSIVE)):
-            assert abs(p - dense_probability(xi.mat, strategy.effects[label], u.mat, v.mat)) <= 1e-12
-            assert abs(p - outcome_probability(omega, elements[label])) <= 1e-12
-    # The Monte Carlo path shares the evaluation: per-draw values from a twin generator.
-    est = average_success_mc(strategy, 70, np.random.default_rng(68))
-    twin = np.random.default_rng(68)
-    draws = [dense_probability(xi.mat, f, haar_sample(d, twin).mat, haar_sample(d, twin).mat) for _ in range(70)]
-    assert abs(est.mean - np.mean(draws)) <= 1e-12
-    assert abs(est.std_error - np.std(draws, ddof=1) / np.sqrt(70)) <= 1e-12
+            a, rebuilt = factor_and_rebuild(make_strategy(kind, xi))
+            assert a.shape == (rank, d, d)
+            assert max_abs(rebuilt - xi.mat) <= 1e-10
 
 
 def test_run_pair_dimension_mismatch():
