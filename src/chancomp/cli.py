@@ -37,7 +37,7 @@ from .comparator import (
     success_bound,
     twirl_choi,
 )
-from .haar import _pair_choi_mean, twirl_exact, twirl_mc
+from .haar import _twirl_battery_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary
 from .symmetry import build_split, uniform_antisymmetric_state, uniform_symmetric_state
@@ -223,13 +223,14 @@ def cmd_twirl_verify(args) -> int:
         "ket01_bra10": basis_op(1, d),
         "random_hermitian": herm,
     }
+    # One set of n draws serves every battery operator and the Choi-side
+    # cross-check, the average of identical-pair Choi operators.
+    estimate, pair_choi = _twirl_battery_mc(np.stack(list(battery.values())), args.n, rng)
     rows = []
-    for name, op in battery.items():
-        dev = max_abs(twirl_mc(op, args.n, rng).mean - twirl_exact(op))
+    for (name, op), mean in zip(battery.items(), estimate.mean):
+        dev = max_abs(mean - twirl_exact(op))
         rows.append({"check": f"mc_vs_exact[{name}]", "residual": float(dev)})
-
-    # Choi-side cross-check: the average of identical-pair Choi operators.
-    dev = max_abs(_pair_choi_mean(d, args.n, rng) - twirl_choi(d).mat)
+    dev = max_abs(pair_choi - twirl_choi(d).mat)
     rows.append({"check": "pair_choi_mc_vs_twirl_choi", "residual": float(dev)})
 
     once = twirl_exact(herm)

@@ -14,8 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample
-from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor, trace_product
+# haar_sample stays importable from here: the perfbench tracer wraps it under this module too.
+from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
+from .linalg import (
+    ATOL,
+    STRUCT_ATOL,
+    SUM_ATOL,
+    DimensionMismatchError,
+    kron_stack,
+    max_abs,
+    tensor,
+    trace_product,
+)
 from .qobj import (
     ChoiOp,
     Ppovm,
@@ -178,26 +188,30 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
             f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
         )
     p_diff, p_inc = (
-        clamp_probability(float(p)) for (p,) in _probabilities(strategy, u.mat[None], v.mat[None])
+        clamp_probability(float(p))
+        for (p,) in _probabilities(strategy, u.mat[None], v.mat[None], (DIFF, INCONCLUSIVE))
     )
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
     return ComparisonReport(p_diff=p_diff, p_inconclusive=p_inc, verdict=verdict, seed=seed)
 
 
-def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """p_diff and p_inconclusive, shape (2, n), for each pair of the stacks u, v of shape (n, d, d).
+def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, outcomes: tuple[str, ...]) -> np.ndarray:
+    """Probabilities of the named outcomes, one row each, for the pairs of the (n, d, d) stacks u, v.
 
     With xi = sum_k vec(A_k) vec(A_k)^dagger, the boxes map vec(A_k) to
     w_k = vec(W_k), W_k = U A_k V^T, and the swap maps w_k to vec(W_k^T).  So
-    P+- = sum_k <w_k|(w_k +- S w_k)> / 2: O(r d^3) per pair for a rank-r xi
-    instead of the d^6 of conjugating xi.
+    P+- = sum_k <w_k|(w_k +- S w_k)> / 2: O(r d^3) per pair and outcome for a
+    rank-r xi instead of the d^6 of conjugating xi.
     """
     n = len(u)
     w = u[:, None] @ strategy._factor @ v[:, None].swapaxes(-1, -2)
-    # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
-    plus = ((w + w.swapaxes(-1, -2)).conj() * w).real.reshape(n, -1).sum(axis=1)
-    minus = ((w - w.swapaxes(-1, -2)).conj() * w).real.reshape(n, -1).sum(axis=1)
-    return np.stack((plus, minus)[::strategy._sign]) / 2  # the 'diff' row first
+    wt = w.swapaxes(-1, -2)
+    rows = []
+    for label in outcomes:
+        sign = strategy._sign if label == DIFF else -strategy._sign  # the label's swap eigenvalue
+        # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
+        rows.append(((w + wt if sign > 0 else w - wt).conj() * w).real.reshape(n, -1).sum(axis=1))
+    return np.stack(rows) / 2
 
 
 def average_success(strategy: Strategy) -> float:
@@ -213,7 +227,7 @@ def average_success(strategy: Strategy) -> float:
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
     return _mc_mean(
-        _probabilities(strategy, u, v)[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
+        _probabilities(strategy, u, v, (DIFF,))[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
     )
 
 
@@ -236,10 +250,10 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
     omega_t = twirl_choi(d)
     twirl_residual = abs(float(trace_product(omega_t.mat, m_diff).real))
     haar_max = 0.0
-    for _ in range(n_samples):
-        u = haar_sample(d, rng)
-        w = _pair_output_vec(np.kron(u.mat, u.mat))  # tr(omega_{U,U} M) = <w|M|w>
-        haar_max = max(haar_max, clamp_probability(float(np.vdot(w, m_diff @ w).real)))
+    for (u,) in _haar_chunks(d, n_samples, rng):
+        w = _pair_output_vec(kron_stack(u, u))  # tr(omega_{U,U} M) = <w|M|w>, one row per draw
+        for p in ((w @ m_diff.T) * w.conj()).sum(axis=1).real:
+            haar_max = max(haar_max, clamp_probability(float(p)))
     same_residual = None
     if SAME in ppovm.elements:
         same_residual = abs(float(np.trace(ppovm.elements[SAME]).real)) / (d * d)

@@ -66,10 +66,16 @@ def build_split(d: int) -> SymmetrySplit:
         return _SPLITS[d]
     if d < 2:
         raise ValueError(f"split needs d >= 2, got {d}")
-    s = swap_operator(d)
-    eye = np.eye(d * d, dtype=complex)
-    p_plus = (eye + s) / 2
-    p_minus = (eye - s) / 2
+    # P+- = (I +- S) / 2, filled in place: 1/2 on the diagonal, +-1/2 where the
+    # swap maps |jk> to |kj> (so 1 and 0 where j = k).  Each entry is exact,
+    # and no d^4 temporary is made besides the two projectors.
+    pair = np.arange(d * d)
+    swapped = (pair % d) * d + pair // d
+    p_plus = np.zeros((d * d, d * d), dtype=complex)
+    p_minus = np.zeros((d * d, d * d), dtype=complex)
+    for p, sign in ((p_plus, 1), (p_minus, -1)):
+        p[pair, pair] = 0.5
+        p[swapped, pair] += sign * 0.5
 
     def pair_vec(j: int, k: int, sign: int) -> np.ndarray:
         v = np.zeros(d * d, dtype=complex)

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 
 import chancomp
-from chancomp import cli
+from chancomp import cli, haar
 from chancomp.cli import main, resolve_gate
 from chancomp.comparator import ComparisonReport
-from chancomp.haar import _pair_choi_mean, haar_sample
+from chancomp.haar import _twirl_battery_mc, haar_sample
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import UnitaryOp, choi_of_unitary
 
@@ -273,17 +273,36 @@ def test_twirl_verify(tmp_path):
         assert value <= 0.2, name
 
 
+def test_twirl_verify_draws_n_unitaries(tmp_path, monkeypatch):
+    # The battery rows and the pair-Choi row share one set of n draws.
+    calls = []
+
+    def counted(d, rng):
+        calls.append(d)
+        return haar_sample(d, rng)
+
+    monkeypatch.setattr(haar, "haar_sample", counted)
+    for d, n in ((2, 130), (3, 65)):
+        calls.clear()
+        rc, payload = run_json(tmp_path, ["twirl-verify", "--d", str(d), "--n", str(n), "--seed", "5"])
+        assert rc == 0
+        assert len(payload["rows"]) == 10
+        assert calls == [d] * n
+
+
 def test_pair_choi_mean_matches_per_draw_outer_products():
-    # Chunked Gram matrices against the per-draw |w><w| sum on the same draws,
-    # with n crossing a chunk boundary.
-    for d, n in ((2, 130), (3, 70)):
-        got = _pair_choi_mean(d, n, np.random.default_rng(60 + d))
-        rng = np.random.default_rng(60 + d)
-        total = np.zeros((d**4, d**4), dtype=complex)
-        for _ in range(n):
-            u = haar_sample(d, rng)
-            total += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
-        assert max_abs(got - total / n) <= 1e-12
+    # The Choi-side mean of the one-pass helper against the per-draw |w><w|
+    # sum on the same draws, with n on both sides of chunk boundaries.
+    for d in (2, 3):
+        battery = np.eye(d * d, dtype=complex)[None]
+        for n in (63, 64, 65, 130):
+            _, got = _twirl_battery_mc(battery, n, np.random.default_rng(60 + d))
+            rng = np.random.default_rng(60 + d)
+            total = np.zeros((d**4, d**4), dtype=complex)
+            for _ in range(n):
+                u = haar_sample(d, rng)
+                total += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
+            assert max_abs(got - total / n) <= 1e-12
 
 
 def test_witness(tmp_path):

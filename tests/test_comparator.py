@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chancomp import comparator
 from chancomp.comparator import (
     DIFF,
     INCONCLUSIVE,
@@ -29,7 +30,9 @@ from chancomp.qobj import (
     QState,
     UnitaryOp,
     choi_of_unitary,
+    clamp_probability,
     outcome_probability,
+    ppovm_from_experiment,
 )
 from chancomp.symmetry import (
     build_split,
@@ -366,6 +369,40 @@ def test_verify_no_error_flags_wrong_pairing():
     report = verify_no_error(Ppovm(elements, xi), 10, rng)
     assert report.twirl_residual > 0.5
     assert report.haar_max_residual > 0.5
+
+
+def test_verify_no_error_matches_per_draw_oracle(monkeypatch):
+    # The stacked identical-pair scores against tr(omega_{U,U} M_diff) drawn one
+    # by one from the same seed, for an effect whose score varies per draw, with
+    # n on both sides of chunk boundaries; every draw's score is range-checked.
+    clamped = []
+
+    def counted(p):
+        clamped.append(p)
+        return clamp_probability(p)
+
+    monkeypatch.setattr(comparator, "clamp_probability", counted)
+    for d in (2, 3):
+        rng = np.random.default_rng(54 + d)
+        g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        rho = g @ g.conj().T
+        xi = QState(rho / np.trace(rho).real, [d, d])
+        ket00 = np.zeros((d * d, d * d), dtype=complex)
+        ket00[0, 0] = 1.0
+        ppovm = ppovm_from_experiment(xi, {"diff": ket00, "inconclusive": np.eye(d * d) - ket00})
+        for n in (1, 63, 64, 65, 130):
+            clamped.clear()
+            report = verify_no_error(ppovm, n, np.random.default_rng(n))
+            assert len(clamped) == n
+            rng = np.random.default_rng(n)
+            oracle = []
+            for _ in range(n):
+                u = haar_sample(d, rng).mat
+                omega = choi_of_unitary(UnitaryOp(np.kron(u, u)))
+                oracle.append(outcome_probability(omega, ppovm.elements["diff"]))
+            assert report.n_samples == n
+            assert 0.0 < max(oracle) < 1.0
+            assert abs(report.haar_max_residual - max(oracle)) <= 1e-12
 
 
 def test_verify_no_error_flags_same_element():
