@@ -106,7 +106,9 @@ class Strategy:
 def _off_support(x: np.ndarray, support: np.ndarray) -> tuple[float, np.ndarray]:
     """max_abs(x - support support^dagger x), cross terms included, and support^dagger x; O(d+- d^4)."""
     sx = support.conj().T @ x
-    return max_abs(x - support @ sx), sx
+    resid = support @ sx
+    resid -= x  # in place: one d^4 temporary, and the same moduli as x - support @ sx
+    return max_abs(resid), sx
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import numpy as np
 # The tolerance ladder.  Every absolute-error check in the package compares
 # against one of these rungs in a NaN-safe form, `not (err <= TOL)`, so a NaN
 # error fails the check.  Double precision leaves ample headroom for the
-# matrix sizes handled here (up to 1296 dims).
+# matrix sizes handled here (up to 4096 dims: compare's d^2 x d^2 state under
+# the CLI's 256 MiB array cap).
 ATOL = 1e-10  # one identity: Hermiticity, unitarity, unit trace, PSD, support, probability range
 SUM_ATOL = 1e-9  # sums of elements: POVM/PPOVM normalisation, success vs the (d+1)/(2d) bound
 CHOI_TRACE_ATOL = 1e-8  # trace of a Choi operator, which grows with the dimension
@@ -64,15 +65,56 @@ def max_abs(a) -> float:
 def is_hermitian(a) -> bool:
     """Entrywise check of A against its conjugate transpose, within ATOL."""
     m = as_matrix(a)
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= ATOL
+    if m.shape[0] != m.shape[1]:
+        return False
+    diff = m.conj().T  # conj() copies; the difference overwrites that copy
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        diff -= m
+    return max_abs(diff) <= ATOL
+
+
+# Order of the diagonal blocks in _cholesky_in_place.  np.linalg.cholesky
+# copies its input to a work buffer and returns a new factor, so one call on
+# the whole matrix would hold three n x n arrays; by blocks it holds O(n b).
+_CHOLESKY_BLOCK = 256
+
+
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of a with its Cholesky factor; LinAlgError if a is not positive definite.
+
+    Right-looking block Cholesky (Golub & Van Loan, Matrix Computations, 4th
+    ed., sec. 4.2) that reads only the lower triangle.
+    """
+    n, b = a.shape[0], _CHOLESKY_BLOCK
+    for k in range(0, n, b):
+        e = k + b
+        lkk = np.linalg.cholesky(a[k:e, k:e])
+        a[k:e, k:e] = lkk
+        if e >= n:
+            break
+        panel = a[e:, k:e]
+        panel[...] = np.linalg.solve(lkk.conj(), panel.T).T  # L_ik = A_ik L_kk^-dagger
+        for j in range(e, n, b):
+            a[j:, j:j + b] -= panel[j - e:] @ panel[j - e:j - e + b].conj().T
 
 
 def is_psd(a) -> bool:
-    """True iff the Hermitian input has minimum eigenvalue >= -ATOL."""
+    """True iff the Hermitian input A is PSD within ATOL: A + ATOL*I has a Cholesky factor.
+
+    That is lambda_min(A) > -ATOL up to rounding of order n*eps*||A|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).
+    The factor overwrites the one shifted copy of A.
+    """
     m = as_matrix(a)
     if not is_hermitian(m):
         raise ValueError("is_psd requires a Hermitian matrix")
-    return float(np.linalg.eigvalsh(m)[0]) >= -ATOL
+    shifted = m.copy()
+    shifted.reshape(-1)[:: m.shape[0] + 1] += ATOL
+    try:
+        _cholesky_in_place(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(shifted.diagonal()).all())
 
 
 def trace_product(a, b) -> complex:

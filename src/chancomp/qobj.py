@@ -34,12 +34,14 @@ from .linalg import (
 
 
 def _positive_operator(mat, n: int, name: str) -> np.ndarray:
-    """mat as an n x n complex matrix, checked Hermitian and PSD; errors name the operator."""
+    """mat as an n x n complex matrix, checked finite, Hermitian and PSD; errors name the operator."""
     m = as_matrix(mat)
     if m.shape != (n, n):
         raise DimensionMismatchError(f"{name} has shape {m.shape}, expected {(n, n)}")
+    if not np.isfinite(m).all():  # a Cholesky factor of NaN input need not raise
+        raise ValueError(f"{name} has non-finite entries")
     try:
-        psd = is_psd(m)  # one Hermiticity pass, then one eigensolve
+        psd = is_psd(m)  # one Hermiticity pass, then one Cholesky factorisation
     except ValueError:  # is_psd rejects a non-Hermitian input
         raise ValueError(f"{name} is not Hermitian") from None
     if not psd:

@@ -1,9 +1,15 @@
 """Tests for the dense linear-algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chancomp import linalg
+from chancomp.comparator import random_unambiguous_ppovm
+from chancomp.haar import haar_sample
 from chancomp.linalg import (
+    ATOL,
     is_psd,
     kron_stack,
     matrix_from_json,
@@ -12,6 +18,8 @@ from chancomp.linalg import (
     tensor,
     trace_product,
 )
+from chancomp.qobj import choi_of_unitary
+from chancomp.symmetry import build_split
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -79,6 +87,95 @@ def test_is_psd():
     assert not is_psd(-np.eye(3))
     with pytest.raises(ValueError):
         is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def eigvalsh_is_psd(m):
+    """Oracle for is_psd: the full spectrum's smallest eigenvalue against -ATOL."""
+    return float(np.linalg.eigvalsh(m)[0]) >= -ATOL
+
+
+def hermitian_with_spectrum(rng, vals):
+    n = len(vals)
+    q, _ = np.linalg.qr(random_matrix(rng, n))
+    m = (q * vals) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+# 16 sends every n above it through the blocked path; the default sends
+# n <= 256 to one np.linalg.cholesky call.
+BLOCKS = (16, linalg._CHOLESKY_BLOCK)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("n", (4, 16, 81, 256))
+def test_is_psd_matches_eigvalsh_oracle_at_the_atol_boundary(monkeypatch, n, block):
+    # Smallest eigenvalue 1% beyond -ATOL on either side, half the spectrum at
+    # zero: the shifted matrix is 1e-12 away from singular on both sides,
+    # while rounding is of order n * eps * ||A|| <= 6e-14.
+    monkeypatch.setattr(linalg, "_CHOLESKY_BLOCK", block)
+    rng = np.random.default_rng(n)
+    for lam_min, expected in ((-ATOL * (1 + 1e-2), False), (-ATOL * (1 - 1e-2), True)):
+        vals = np.concatenate(([lam_min], np.zeros(n // 2), rng.uniform(0, 1, n - 1 - n // 2)))
+        m = hermitian_with_spectrum(rng, vals)
+        assert eigvalsh_is_psd(m) is expected
+        assert is_psd(m) is expected
+
+
+def rank_deficient_psd_inputs():
+    for d in range(2, 7):
+        split = build_split(d)
+        yield f"p_minus/d- d={d}", split.p_minus / split.dim_minus
+        yield f"p_plus/d+ d={d}", split.p_plus / split.dim_plus
+    rng = np.random.default_rng(21)
+    for n in (4, 16, 81, 256):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        yield f"pure n={n}", np.outer(v, v.conj())
+    for big_d in (16, 24):  # n = 256 and 576: one block and three at the default size
+        yield f"choi D={big_d}", choi_of_unitary(haar_sample(big_d, rng)).mat
+    for label, m in random_unambiguous_ppovm(4, rng).elements.items():
+        yield f"ppovm d=4 {label}", m
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_is_psd_accepts_rank_deficient_psd_inputs(monkeypatch, block):
+    monkeypatch.setattr(linalg, "_CHOLESKY_BLOCK", block)
+    for name, m in rank_deficient_psd_inputs():
+        assert eigvalsh_is_psd(m), name
+        assert is_psd(m), name
+
+
+def test_is_psd_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        for n, where in ((3, (2, 2)), (3, (0, 2)), (300, (299, 299))):
+            m = np.eye(n, dtype=complex)
+            m[where] = bad
+            with pytest.raises(ValueError):
+                is_psd(m)
+
+
+def test_is_psd_rejects_a_factor_with_non_finite_diagonal(monkeypatch):
+    # A LAPACK that returns NaN factors without flagging them must still reject.
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.nan))
+    assert not is_psd(np.eye(3))
+
+
+def test_is_psd_holds_one_copy_beside_the_hermiticity_pass():
+    # numpy's own n x n arrays peak at the Hermiticity pass (a conjugate copy
+    # and its real moduli: 1.5 input sizes); the factorisation runs in the
+    # shifted copy, with block-sized temporaries, and stays below that.  A
+    # separate factor array would reach 2.
+    n = 1024
+    rng = np.random.default_rng(4)
+    g = random_matrix(rng, n)
+    m = g @ g.conj().T / n
+    tracemalloc.start()
+    try:
+        assert is_psd(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * m.nbytes
 
 
 def test_trace_identities():

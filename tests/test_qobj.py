@@ -236,6 +236,27 @@ def test_choi_validation():
         ChoiOp(-np.outer(PAIR_VEC_2, PAIR_VEC_2), 2)
 
 
+def with_entry(m, value):
+    """Copy of m with one off-diagonal entry replaced."""
+    out = np.array(m, dtype=complex)
+    out[0, 1] = value
+    return out
+
+
+def test_positive_operators_reject_non_finite_entries_by_name():
+    xi = QState(SINGLET, [2, 2])
+    diff, inconclusive = tensor(SINGLET.T, P_PLUS_2), tensor(SINGLET.T, P_MINUS_2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="density operator has non-finite entries"):
+            QState(with_entry(np.eye(2) / 2, bad))
+        with pytest.raises(ValueError, match="Choi operator has non-finite entries"):
+            ChoiOp(with_entry(np.outer(PAIR_VEC_2, PAIR_VEC_2), bad), 2)
+        with pytest.raises(ValueError, match="effect 'a' has non-finite entries"):
+            ppovm_from_experiment(xi, {"a": with_entry(P_PLUS_2, bad), "b": P_MINUS_2})
+        with pytest.raises(ValueError, match="element 'diff' has non-finite entries"):
+            Ppovm({"diff": with_entry(diff, bad), "inconclusive": inconclusive}, xi)
+
+
 def test_ppovm_validation_and_json_roundtrip():
     xi = QState(SINGLET, [2, 2])
     good = {"diff": tensor(SINGLET.T, P_PLUS_2), "inconclusive": tensor(SINGLET.T, P_MINUS_2)}
