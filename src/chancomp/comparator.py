@@ -35,7 +35,7 @@ from .qobj import (
     clamp_probability,
     ppovm_from_experiment,
 )
-from .symmetry import SymmetrySplit, build_split, qudit_dim
+from .symmetry import SymmetrySplit, build_split, off_eigenspace, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -58,10 +58,10 @@ class Strategy:
     """A comparison strategy: send the test state xi through the two boxes, then measure the swap.
 
     kind picks the swap eigenspace that reads 'diff': P+ for
-    'antisym_optimal', P- for 'symmetric'.  xi must lie on the other
-    eigenspace; construction checks that and factors xi on it once.
-    effects (P+ and P- per label) and ppovm (xi^T (x) F per label) are dense
-    views built on demand.
+    'antisym_optimal', P- for 'symmetric'.  xi must lie on the other one, of
+    swap eigenvalue s: construction checks (xi - s S xi) / 2, reading no
+    basis, then factors the block B^dag xi B once on its basis B.  effects
+    (P+ and P- per label) and ppovm (xi^T (x) F per label) are dense views.
     """
 
     xi: QState
@@ -74,13 +74,14 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in _DIFF_SWAP_SIGN:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        split = build_split(self.d)
-        support = split.basis_minus if self._sign > 0 else split.basis_plus
-        leak, sx = _off_support(self.xi.mat, support)
+        leak = off_eigenspace(self.xi.mat, -self._sign)
         if not (leak <= ATOL):  # identical boxes must never fire 'diff'
             raise ValueError(f"test state has support outside the {self.kind} subspace "
                              f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
-        vals, vecs = np.linalg.eigh(sx @ support)  # xi on the block just checked to hold it
+        split = build_split(self.d)
+        support = split.basis_minus if self._sign > 0 else split.basis_plus
+        # xi on the block just checked to hold it
+        vals, vecs = np.linalg.eigh(support.conj().T @ self.xi.mat @ support)
         keep = vals > ATOL
         a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))
         object.__setattr__(self, "_factor", a.T.reshape(-1, self.d, self.d))
@@ -101,14 +102,6 @@ class Strategy:
     @property
     def ppovm(self) -> Ppovm:
         return ppovm_from_experiment(self.xi, self.effects)
-
-
-def _off_support(x: np.ndarray, support: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_abs(x - support support^dagger x), cross terms included, and support^dagger x; O(d+- d^4)."""
-    sx = support.conj().T @ x
-    resid = support @ sx
-    resid -= x  # in place: one d^4 temporary, and the same moduli as x - support @ sx
-    return max_abs(resid), sx
 
 
 @dataclass(frozen=True)
@@ -245,8 +238,10 @@ def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> N
 
     Checks the overlap of M_diff with the twirl Choi operator, the sampled
     'diff' probability on n identical Haar pairs, and tr(M_same)/d^2 when a
-    'same' element is present.  Reports rather than raises.
+    'same' element is present.  Reports rather than raises; n_samples >= 1.
     """
+    if n_samples < 1:  # zero draws would report a Haar residual of 0
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     d = qudit_dim(ppovm.d_sys)
     m_diff = ppovm.elements[DIFF]
     omega_t = twirl_choi(d)
@@ -360,7 +355,7 @@ def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
 
     success_residual = abs(float(np.trace(m_diff).real) / (d * d) - success_bound(d))
     struct_residual = max_abs(m_diff - tensor(rho_t, split.p_plus))
-    support_residual, _ = _off_support(rho_t, split.basis_minus)
+    support_residual = off_eigenspace(rho_t, -1)
 
     ok = success_residual <= SUM_ATOL and struct_residual <= STRUCT_ATOL and support_residual <= STRUCT_ATOL
     return UniquenessProbe(

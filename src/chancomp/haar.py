@@ -150,7 +150,7 @@ def _twirl_battery_mc(ys: np.ndarray, n: int, rng: np.random.Generator) -> tuple
             k = kron_stack(u, u)
             w = _pair_output_vec(k)
             choi_sum[...] += w.T @ w.conj()
-            yield k[:, None] @ ys @ k.conj().transpose(0, 2, 1)[:, None]
+            yield _conjugate_stack(k[:, None], ys)
 
     estimate = _mc_mean(chunks())  # runs the draws, filling choi_sum
     return estimate, choi_sum / n

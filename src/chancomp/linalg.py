@@ -53,8 +53,8 @@ def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _conjugate_stack(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """K_j M K_j^dagger for every slice K_j of a stack, e.g. a state sent through the boxes."""
-    return k @ m @ k.conj().transpose(0, 2, 1)
+    """K M K^dagger, broadcast over the leading axes, e.g. a state sent through the boxes."""
+    return k @ m @ k.conj().swapaxes(-1, -2)
 
 
 def max_abs(a) -> float:

@@ -1,9 +1,12 @@
-"""Swap operator, symmetric/antisymmetric projectors, and subspace samplers.
+"""The swap as an index exchange: symmetric/antisymmetric projectors, bases, support test and samplers.
 
 The two-qudit space H_d (x) H_d splits into the symmetric and antisymmetric
-eigenspaces of the swap, with dimensions d(d+1)/2 and d(d-1)/2.  Basis
-vectors are the (anti)symmetrized computational pairs, enumerated in
-lexicographic order so fixtures are reproducible.
+eigenspaces of the swap S|jk> = |kj>, with dimensions d(d+1)/2 and
+d(d-1)/2.  S is never stored as a matrix: the projectors and bases are
+filled from the swapped index of each computational pair, and S x exchanges
+the two row qudits of x.  Basis vectors are the (anti)symmetrized
+computational pairs, enumerated in lexicographic order so fixtures are
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError
+from .linalg import DimensionMismatchError, max_abs
 from .qobj import QState
 
 
@@ -48,10 +51,17 @@ def qudit_dim(n: int) -> int:
     return d
 
 
-def swap_operator(d: int) -> np.ndarray:
-    """Operator exchanging the two tensor factors of H_d (x) H_d."""
-    s = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    return s.swapaxes(0, 1).reshape(d * d, d * d)
+def off_eigenspace(x: np.ndarray, s: int) -> float:
+    """max_abs(x - P x) for P the projector onto the swap eigenspace of eigenvalue s = +-1; O(d^4).
+
+    x - P x = (x - s S x) / 2 is the part of x's columns off the eigenspace,
+    cross terms included.  S x exchanges the two row qudits of x.
+    """
+    d = qudit_dim(x.shape[0])
+    rows = x.reshape(d, d, -1)
+    resid = rows.swapaxes(0, 1) * -s  # the one d^4 copy; negation is exact
+    resid += rows
+    return max_abs(resid) / 2
 
 
 _SPLITS: dict[int, SymmetrySplit] = {}
@@ -66,35 +76,26 @@ def build_split(d: int) -> SymmetrySplit:
         return _SPLITS[d]
     if d < 2:
         raise ValueError(f"split needs d >= 2, got {d}")
-    # P+- = (I +- S) / 2, filled in place: 1/2 on the diagonal, +-1/2 where the
-    # swap maps |jk> to |kj> (so 1 and 0 where j = k).  Each entry is exact,
-    # and no d^4 temporary is made besides the two projectors.
+    # Both filled from the swap's index map |jk> -> |kj>.  P+- = (I +- S) / 2:
+    # 1/2 on the diagonal, +-1/2 where the swap maps |jk> to |kj> (so 1 and 0
+    # where j = k), each entry exact.  One basis column per pair jk below its
+    # swap (j <= k for B+, j < k for B-), in lexicographic order: 1 on |jj>,
+    # else 1/sqrt(2) on |jk> and +-1/sqrt(2) on |kj>.  No d^4 temporary is
+    # made besides the projectors.
     pair = np.arange(d * d)
     swapped = (pair % d) * d + pair // d
-    p_plus = np.zeros((d * d, d * d), dtype=complex)
-    p_minus = np.zeros((d * d, d * d), dtype=complex)
-    for p, sign in ((p_plus, 1), (p_minus, -1)):
+    projectors, bases = [], []
+    for sign, cols in ((1, pair[pair <= swapped]), (-1, pair[pair < swapped])):
+        p = np.zeros((d * d, d * d), dtype=complex)
         p[pair, pair] = 0.5
         p[swapped, pair] += sign * 0.5
-
-    def pair_vec(j: int, k: int, sign: int) -> np.ndarray:
-        v = np.zeros(d * d, dtype=complex)
-        if j == k:
-            v[j * d + k] = 1.0
-        else:
-            v[j * d + k] = 1.0 / np.sqrt(2)
-            v[k * d + j] = sign / np.sqrt(2)
-        return v
-
-    plus_cols = [pair_vec(j, k, +1) for j in range(d) for k in range(j, d)]
-    minus_cols = [pair_vec(j, k, -1) for j in range(d) for k in range(j + 1, d)]
-    split = SymmetrySplit(
-        d=d,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        basis_plus=np.column_stack(plus_cols),
-        basis_minus=np.column_stack(minus_cols),
-    )
+        b = np.zeros((d * d, cols.size), dtype=complex)
+        at = np.arange(cols.size)
+        b[swapped[cols], at] = sign / np.sqrt(2)
+        b[cols, at] = np.where(cols == swapped[cols], 1.0, 1 / np.sqrt(2))
+        projectors.append(p)
+        bases.append(b)
+    split = SymmetrySplit(d, *projectors, *bases)
     for a in (split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
         a.flags.writeable = False
     _SPLITS[d] = split

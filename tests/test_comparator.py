@@ -24,7 +24,7 @@ from chancomp.comparator import (
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import STRUCT_ATOL, DimensionMismatchError, max_abs, tensor
+from chancomp.linalg import ATOL, STRUCT_ATOL, DimensionMismatchError, max_abs, tensor
 from chancomp.qobj import (
     Ppovm,
     QState,
@@ -36,6 +36,7 @@ from chancomp.qobj import (
 )
 from chancomp.symmetry import (
     build_split,
+    off_eigenspace,
     random_antisymmetric_state,
     random_symmetric_state,
     uniform_antisymmetric_state,
@@ -73,6 +74,11 @@ def leaking_state(basis, leak_basis, eps, rng):
 
     psi = np.sqrt(1 - eps) * unit(basis) + np.sqrt(eps) * unit(leak_basis)
     return QState(np.outer(psi, psi.conj()))
+
+
+def basis_leak(x, basis):
+    """Oracle for the support residual: max_abs(x - B B^dag x), B the eigenspace's basis."""
+    return max_abs(x - basis @ (basis.conj().T @ x))
 
 
 def factor_and_rebuild(strategy):
@@ -176,6 +182,32 @@ def test_make_strategy_rejects_cross_block_leakage():
             for build in (make_strategy, lambda kind, xi: Strategy(xi, kind)):
                 with pytest.raises(ValueError, match=rf"outside the {kind} subspace \(largest entry off it .* > 1e-10\)"):
                     build(kind, xi)
+
+
+def test_support_residual_matches_basis_oracle():
+    # (x - s S x) / 2 against x - B B^dag x: states on the eigenspace, states
+    # leaking out of it through cross terms, and random full-rank states.
+    rng = np.random.default_rng(71)
+    for d in range(2, 7):
+        split = build_split(d)
+        for s, basis, leak_basis, sample in (
+            (-1, split.basis_minus, split.basis_plus, random_antisymmetric_state),
+            (1, split.basis_plus, split.basis_minus, random_symmetric_state),
+        ):
+            g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            full_rank = g @ g.conj().T
+            cases = [
+                (sample(d, "pure", rng).mat, True),
+                (sample(d, "mixed", rng).mat, True),
+                (leaking_state(basis, leak_basis, 5e-11, rng).mat, False),
+                (leaking_state(basis, leak_basis, 1e-7, rng).mat, False),
+                (full_rank / np.trace(full_rank).real, False),
+            ]
+            for x, on_subspace in cases:
+                for m in (x, x.T):
+                    got, want = off_eigenspace(m, s), basis_leak(m, basis)
+                    assert abs(got - want) <= 1e-14
+                    assert (got <= ATOL) == (want <= ATOL) == on_subspace
 
 
 def test_run_pair_no_error_on_identical_channels():
@@ -369,6 +401,20 @@ def test_verify_no_error_flags_wrong_pairing():
     report = verify_no_error(Ppovm(elements, xi), 10, rng)
     assert report.twirl_residual > 0.5
     assert report.haar_max_residual > 0.5
+
+
+def test_verify_no_error_rejects_fewer_than_one_sample():
+    # With no draw the identical-pair residual would read 0, so a PPOVM that
+    # fires 'diff' on identical boxes half the time would pass that check.
+    xi = QState(SINGLET, [2, 2])
+    half = tensor(xi.mat.T, np.eye(4) / 2)
+    ppovm = Ppovm({DIFF: half, INCONCLUSIVE: half}, xi)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=rf"n_samples must be at least 1, got {n}"):
+            verify_no_error(ppovm, n, np.random.default_rng(53))
+    report = verify_no_error(ppovm, 1, np.random.default_rng(53))
+    assert report.n_samples == 1
+    assert abs(report.haar_max_residual - 0.5) <= 1e-10
 
 
 def test_verify_no_error_matches_per_draw_oracle(monkeypatch):

@@ -9,12 +9,34 @@ from chancomp.symmetry import (
     build_split,
     random_antisymmetric_state,
     random_symmetric_state,
-    swap_operator,
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
 
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+
+
+def swap_operator(d):
+    """Dense oracle for the swap |jk> -> |kj> on H_d (x) H_d."""
+    s = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return s.swapaxes(0, 1).reshape(d * d, d * d)
+
+
+def pair_vec_bases(d):
+    """Oracle for both bases: one column per (anti)symmetrized pair j <= k (j < k), lexicographic."""
+
+    def pair_vec(j, k, sign):
+        v = np.zeros(d * d, dtype=complex)
+        if j == k:
+            v[j * d + k] = 1.0
+        else:
+            v[j * d + k] = 1.0 / np.sqrt(2)
+            v[k * d + j] = sign / np.sqrt(2)
+        return v
+
+    plus_cols = [pair_vec(j, k, +1) for j in range(d) for k in range(j, d)]
+    minus_cols = [pair_vec(j, k, -1) for j in range(d) for k in range(j + 1, d)]
+    return np.column_stack(plus_cols), np.column_stack(minus_cols)
 
 
 def top_schmidt_sq(vec, d):
@@ -69,6 +91,15 @@ def test_bases_orthonormal_and_reconstruct():
             gram = basis.conj().T @ basis
             assert max_abs(gram - np.eye(basis.shape[1])) <= 1e-10
             assert max_abs(basis @ basis.conj().T - proj) <= 1e-10
+
+
+def test_bases_match_pair_vector_oracle_bitwise():
+    for d in (2, 3, 4, 5, 6, 7, 8, 9, 17):
+        split = build_split(d)
+        plus, minus = pair_vec_bases(d)
+        assert split.basis_plus.shape == plus.shape and split.basis_minus.shape == minus.shape
+        assert split.basis_plus.tobytes() == plus.tobytes()
+        assert split.basis_minus.tobytes() == minus.tobytes()
 
 
 def test_basis_minus_spans_kernel_of_p_plus():
