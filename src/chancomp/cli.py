@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -40,7 +41,7 @@ from .comparator import (
 from .haar import _twirl_battery_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary
-from .symmetry import build_split, uniform_antisymmetric_state, uniform_symmetric_state
+from .symmetry import _uniform_factor, build_split
 
 
 class UsageError(Exception):
@@ -51,8 +52,8 @@ class InvariantViolation(Exception):
     """A checked invariant failed at runtime; maps to exit code 4."""
 
 
-# Bytes allowed for a command's largest dense array: d^2 x d^2 under compare and
-# witness, d^4 x d^4 (the doubled Choi space) under bound-scan and twirl-verify.
+# Bytes allowed for a d^2 x d^2 complex array under compare and witness (compare's largest array,
+# its (d(d-1)/2, d, d) factor, is half that), d^4 x d^4 under bound-scan and twirl-verify.
 _MAX_ARRAY_BYTES = 2**28
 
 
@@ -134,7 +135,7 @@ def cmd_compare(args) -> int:
     d = args.d
     u = resolve_gate(args.u, d)
     v = resolve_gate(args.v, d)
-    strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(d))
+    strategy = make_strategy("antisym_optimal", _uniform_factor(d, -1))
     report = run_pair(strategy, u, v, seed=args.seed)
     payload = {"meta": _meta(args, d=d, u=args.u, v=args.v), "report": report.to_json()}
     rows = [{"d": d, **report.to_json()}]
@@ -148,8 +149,8 @@ def cmd_success_table(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for d in range(args.d_min, args.d_max + 1):
-        optimal = make_strategy("antisym_optimal", uniform_antisymmetric_state(d))
-        symmetric = make_strategy("symmetric", uniform_symmetric_state(d))
+        optimal = make_strategy("antisym_optimal", _uniform_factor(d, -1))
+        symmetric = make_strategy("symmetric", _uniform_factor(d, 1))
         opt_mc = average_success_mc(optimal, args.n, rng)
         sym_mc = average_success_mc(symmetric, args.n, rng)
         row = {
@@ -267,6 +268,7 @@ def cmd_witness(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, not at import, then shared
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chancomp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"chancomp {__version__}")

@@ -53,46 +53,69 @@ def success_bound(d: int) -> float:
 _DIFF_SWAP_SIGN = {"antisym_optimal": 1, "symmetric": -1}
 
 
-@dataclass(frozen=True)
+# Entries (pairs x factors x d^2) per pass over a factor stack, each pass holding a few
+# arrays this size.  Every call at d <= 6 with up to 64 pairs and r <= 21 takes one pass.
+_CHUNK_ENTRIES = 2**16
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Strategy:
     """A comparison strategy: send the test state xi through the two boxes, then measure the swap.
 
-    kind picks the swap eigenspace that reads 'diff': P+ for
-    'antisym_optimal', P- for 'symmetric'.  xi must lie on the other one, of
-    swap eigenvalue s: construction checks (xi - s S xi) / 2, reading no
-    basis, then factors the block B^dag xi B once on its basis B.  effects
-    (P+ and P- per label) and ppovm (xi^T (x) F per label) are dense views.
+    kind picks the swap eigenspace that reads 'diff': P+ for 'antisym_optimal', P- for
+    'symmetric'.  xi, on the other one of swap eigenvalue s, is a QState, checked by
+    (xi - s S xi) / 2 and factored once on that eigenspace, or its factor stack A (r, d, d),
+    xi = sum_k vec(A_k) vec(A_k)^dag, checked on itself: finite, sum_k ||A_k||_F^2 = 1 and
+    (A_k - s A_k^T) / 2 = 0 within ATOL.  xi, effects and ppovm are dense views.
     """
 
-    xi: QState
     kind: str
-    # Stack A of shape (r, d, d) with xi = sum_k vec(A_k) vec(A_k)^dagger
-    # (row-major vec): xi's eigenvectors for the r eigenvalues above ATOL,
-    # each scaled by the root of its eigenvalue.
-    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = field(repr=False)  # A as given, or xi's eigenvectors scaled by root eigenvalues
+    _state: QState | None = field(repr=False)  # xi as given, if given densely
 
-    def __post_init__(self):
-        if self.kind not in _DIFF_SWAP_SIGN:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        leak = off_eigenspace(self.xi.mat, -self._sign)
+    def __init__(self, xi: QState | np.ndarray, kind: str):
+        if kind not in _DIFF_SWAP_SIGN:
+            raise ValueError(f"unknown strategy kind {kind!r}")
+        sign = _DIFF_SWAP_SIGN[kind]
+        state = xi if isinstance(xi, QState) else None
+        if state is not None:
+            leak = off_eigenspace(state.mat, -sign)
+        else:
+            a = np.asarray(xi, dtype=complex)
+            if a.ndim != 3 or len(a) < 1 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
+                raise DimensionMismatchError(f"test state factor has shape {a.shape}, expected (r, d, d)")
+            norm = float(np.vdot(a, a).real)  # tr(xi), no temporary; NaN or inf if an entry is not finite
+            if not (abs(norm - 1.0) <= ATOL):
+                raise ValueError(f"test state factor has trace {norm}, expected a finite 1")
+            step = _CHUNK_ENTRIES // a[0].size or 1
+            leak = max(max_abs(a[k:k + step] + sign * a[k:k + step].swapaxes(-1, -2))
+                       for k in range(0, len(a), step)) / 2
         if not (leak <= ATOL):  # identical boxes must never fire 'diff'
-            raise ValueError(f"test state has support outside the {self.kind} subspace "
+            raise ValueError(f"test state has support outside the {kind} subspace "
                              f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
-        split = build_split(self.d)
-        support = split.basis_minus if self._sign > 0 else split.basis_plus
-        # xi on the block just checked to hold it
-        vals, vecs = np.linalg.eigh(support.conj().T @ self.xi.mat @ support)
-        keep = vals > ATOL
-        a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))
-        object.__setattr__(self, "_factor", a.T.reshape(-1, self.d, self.d))
+        if state is not None:
+            d = qudit_dim(state.dim)
+            split = build_split(d)
+            support = split.basis_minus if sign > 0 else split.basis_plus
+            # xi on the block just checked to hold it; keep the r eigenvalues above ATOL
+            vals, vecs = np.linalg.eigh(support.conj().T @ state.mat @ support)
+            keep = vals > ATOL
+            a = (support @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
+        for name, value in (("kind", kind), ("_factor", a), ("_state", state)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
-        return qudit_dim(self.xi.dim)
+        return self._factor.shape[-1]
 
     @property
     def _sign(self) -> int:
         return _DIFF_SWAP_SIGN[self.kind]
+
+    @property
+    def xi(self) -> QState:
+        vecs = self._factor.reshape(len(self._factor), -1)
+        return self._state or QState(vecs.T @ vecs.conj(), [self.d, self.d])
 
     @property
     def effects(self) -> dict[str, np.ndarray]:
@@ -162,12 +185,13 @@ def twirl_choi(d: int) -> ChoiOp:
     return ChoiOp(mat, d * d)
 
 
-def make_strategy(kind: str, xi: QState) -> Strategy:
-    """Build a named comparison strategy around the test state xi: Strategy(xi, kind).
+def make_strategy(kind: str, xi: QState | np.ndarray) -> Strategy:
+    """Build a named comparison strategy around xi, a QState or its factor stack: Strategy(xi, kind).
 
     'antisym_optimal' takes an antisymmetric xi and reads 'diff' on P+;
-    'symmetric' swaps the roles.  Raises ValueError for an unknown kind or an
-    xi with support outside the matching subspace.
+    'symmetric' swaps the roles.  Raises ValueError for an unknown kind, a
+    factor that is not finite or not of unit trace, or an xi with support
+    outside the matching subspace.
     """
     return Strategy(xi, kind)
 
@@ -198,15 +222,19 @@ def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, outcomes: t
     P+- = sum_k <w_k|(w_k +- S w_k)> / 2: O(r d^3) per pair and outcome for a
     rank-r xi instead of the d^6 of conjugating xi.
     """
-    n = len(u)
-    w = u[:, None] @ strategy._factor @ v[:, None].swapaxes(-1, -2)
-    wt = w.swapaxes(-1, -2)
-    rows = []
-    for label in outcomes:
-        sign = strategy._sign if label == DIFF else -strategy._sign  # the label's swap eigenvalue
-        # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
-        rows.append(((w + wt if sign > 0 else w - wt).conj() * w).real.reshape(n, -1).sum(axis=1))
-    return np.stack(rows) / 2
+    n, a = len(u), strategy._factor
+    step = _CHUNK_ENTRIES // (n * a.size // len(a)) or 1
+    total = None
+    for k in range(0, len(a), step):  # temporaries of O(n step d^2) entries
+        w = u[:, None] @ a[k:k + step] @ v[:, None].swapaxes(-1, -2)
+        wt = w.swapaxes(-1, -2)
+        rows = []
+        for label in outcomes:
+            sign = strategy._sign if label == DIFF else -strategy._sign  # the label's swap eigenvalue
+            # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
+            rows.append(((w + wt if sign > 0 else w - wt).conj() * w).real.reshape(n, -1).sum(axis=1))
+        total = np.stack(rows) if total is None else total + np.stack(rows)
+    return total / 2
 
 
 def average_success(strategy: Strategy) -> float:
@@ -299,8 +327,8 @@ def _cross_schur_complement(rho_t: np.ndarray, split: SymmetrySplit) -> np.ndarr
     bp, bm = split.basis_plus, split.basis_minus
     n = split.dim_plus * split.dim_minus
     sigma = np.zeros((2 * n, 2 * n), dtype=complex)
-    sigma[:n, :n] = np.kron(sh(bp, bm), np.eye(split.dim_minus))
-    sigma[n:, n:] = np.kron(sh(bm, bp), np.eye(split.dim_plus))
+    sigma[:n, :n] = tensor(sh(bp, bm), np.eye(split.dim_minus))
+    sigma[n:, n:] = tensor(sh(bm, bp), np.eye(split.dim_plus))
     return sigma
 
 
@@ -327,9 +355,8 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
         raise DimensionMismatchError(f"rho must live on two qudits of dim {d}")
 
     # Columns span {|s_j, a_n>, |a_n, s_j>}; kron acts columnwise.
-    cross = np.hstack(
-        [np.kron(split.basis_plus, split.basis_minus), np.kron(split.basis_minus, split.basis_plus)]
-    )
+    bp, bm = split.basis_plus, split.basis_minus
+    cross = np.hstack([tensor(bp, bm), tensor(bm, bp)])
     m = cross.shape[1]
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     gram = g @ g.conj().T

@@ -12,8 +12,8 @@ import numpy as np
 # The tolerance ladder.  Every absolute-error check in the package compares
 # against one of these rungs in a NaN-safe form, `not (err <= TOL)`, so a NaN
 # error fails the check.  Double precision leaves ample headroom for the
-# matrix sizes handled here (up to 4096 dims: compare's d^2 x d^2 state under
-# the CLI's 256 MiB array cap).
+# matrix sizes handled here (up to 4096 dims: witness's d^2 x d^2 Choi operator
+# under the CLI's 256 MiB array cap).
 ATOL = 1e-10  # one identity: Hermiticity, unitarity, unit trace, PSD, support, probability range
 SUM_ATOL = 1e-9  # sums of elements: POVM/PPOVM normalisation, success vs the (d+1)/(2d) bound
 CHOI_TRACE_ATOL = 1e-8  # trace of a Choi operator, which grows with the dimension
@@ -33,12 +33,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def tensor(*factors) -> np.ndarray:
-    """Kronecker product of the factors, first factor's indices major."""
+    """Kronecker product of the factors, first factor's indices major; equal to np.kron bit for bit."""
     if not factors:
         raise ValueError("tensor needs at least one factor")
     out = as_matrix(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, as_matrix(f))
+        out = kron_stack(out[None], as_matrix(f)[None])[0]
     return out
 
 

@@ -1,4 +1,4 @@
-"""The swap as an index exchange: symmetric/antisymmetric projectors, bases, support test and samplers.
+"""The swap as an index exchange: projectors, bases, uniform-state factors, support test and samplers.
 
 The two-qudit space H_d (x) H_d splits into the symmetric and antisymmetric
 eigenspaces of the swap S|jk> = |kj>, with dimensions d(d+1)/2 and
@@ -67,6 +67,20 @@ def off_eigenspace(x: np.ndarray, s: int) -> float:
 _SPLITS: dict[int, SymmetrySplit] = {}
 
 
+def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
+    """Write the basis of the swap eigenspace of eigenvalue sign into rows, zeroed (r, d*d); return rows.
+
+    Row k is the k-th pair jk below its swap: 1 on |jj>, else 1/sqrt(2) on |jk>, sign/sqrt(2) on |kj>.
+    """
+    pair = np.arange(d * d)
+    swapped = (pair % d) * d + pair // d
+    cols = pair[pair <= swapped] if sign > 0 else pair[pair < swapped]
+    at = np.arange(cols.size)
+    rows[at, swapped[cols]] = sign / np.sqrt(2)
+    rows[at, cols] = np.where(cols == swapped[cols], 1.0, 1 / np.sqrt(2))
+    return rows
+
+
 def build_split(d: int) -> SymmetrySplit:
     """The symmetric/antisymmetric decomposition for qudit dimension d.
 
@@ -78,21 +92,17 @@ def build_split(d: int) -> SymmetrySplit:
         raise ValueError(f"split needs d >= 2, got {d}")
     # Both filled from the swap's index map |jk> -> |kj>.  P+- = (I +- S) / 2:
     # 1/2 on the diagonal, +-1/2 where the swap maps |jk> to |kj> (so 1 and 0
-    # where j = k), each entry exact.  One basis column per pair jk below its
-    # swap (j <= k for B+, j < k for B-), in lexicographic order: 1 on |jj>,
-    # else 1/sqrt(2) on |jk> and +-1/sqrt(2) on |kj>.  No d^4 temporary is
-    # made besides the projectors.
+    # where j = k), each entry exact.  No d^4 temporary is made besides the
+    # projectors.
     pair = np.arange(d * d)
     swapped = (pair % d) * d + pair // d
     projectors, bases = [], []
-    for sign, cols in ((1, pair[pair <= swapped]), (-1, pair[pair < swapped])):
+    for sign in (1, -1):
         p = np.zeros((d * d, d * d), dtype=complex)
         p[pair, pair] = 0.5
         p[swapped, pair] += sign * 0.5
-        b = np.zeros((d * d, cols.size), dtype=complex)
-        at = np.arange(cols.size)
-        b[swapped[cols], at] = sign / np.sqrt(2)
-        b[cols, at] = np.where(cols == swapped[cols], 1.0, 1 / np.sqrt(2))
+        b = np.zeros((d * d, d * (d + sign) // 2), dtype=complex)
+        _fill_eigenbasis(b.T, d, sign)  # one column per basis vector
         projectors.append(p)
         bases.append(b)
     split = SymmetrySplit(d, *projectors, *bases)
@@ -100,6 +110,14 @@ def build_split(d: int) -> SymmetrySplit:
         a.flags.writeable = False
     _SPLITS[d] = split
     return split
+
+
+def _uniform_factor(d: int, sign: int) -> np.ndarray:
+    """Factor stack (r, d, d) of the uniform state on the eigenspace of sign: basis row k times sqrt(1/r)."""
+    r = d * (d + sign) // 2
+    a = _fill_eigenbasis(np.zeros((r, d * d), dtype=complex), d, sign)
+    a *= math.sqrt(1 / r)
+    return a.reshape(r, d, d)
 
 
 def _subspace_state(basis: np.ndarray, purity: str, rng: np.random.Generator) -> np.ndarray:

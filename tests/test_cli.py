@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,63 @@ def test_compare_exit_codes(tmp_path):
 
     assert main(["no-such-command"]) == 2
     assert main(["compare", "--d", "2", "--u", "identity"]) == 2  # missing --v
+
+
+def test_compare_d64_matches_closed_form(tmp_path):
+    # p_diff = (d^2 - |tr(U^dag V)|^2) / (2 d (d-1)) for the uniform antisymmetric state.
+    d = 64
+    u = haar_sample(d, np.random.default_rng(81)).mat
+    gate = tmp_path / "u.json"
+    gate.write_text(json.dumps(matrix_to_json(u)))
+    rc, payload = run_json(tmp_path, ["compare", "--d", str(d), "--u", f"@{gate}", "--v", "fourier-d"])
+    assert rc == 0
+    t = np.trace(u.conj().T @ resolve_gate("fourier-d", d).mat)
+    assert abs(payload["report"]["p_diff"] - (d * d - abs(t) ** 2) / (2 * d * (d - 1))) <= 1e-10
+
+
+def test_compare_builds_no_d2_by_d2_array():
+    # Peak traced allocation of compare at d=32 stays below one d^2 x d^2
+    # complex array (16.8 MB); the warm-up call builds the parser first.
+    argv = ["compare", "--u", "fourier-d", "--v", "identity", "--out", os.devnull, "--d"]
+    assert main(argv + ["2"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["32"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32**4 * 16
+
+
+def test_one_parser_serves_interleaved_calls(capsys):
+    # Every main() call parses with the one parser built by the first; a
+    # usage error, --version or a failed gate lookup leaves it as it was.
+    good = ["compare", "--d", "3", "--u", "fourier-d", "--v", "identity", "--seed", "9"]
+    calls = [
+        (good, 0),
+        (["compare", "--d", "3", "--u", "identity"], 2),
+        (["--version"], 0),
+        (["compare", "--d", "3", "--u", "no-such-gate", "--v", "identity"], 2),
+        (good, 0),
+    ]
+    outputs = []
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and outputs[0].err == ""
+    assert outputs[4].out == outputs[0].out and outputs[4].err == ""
+    assert outputs[1].out == "" and "required: --v" in outputs[1].err
+    assert outputs[2].out == f"chancomp {chancomp.__version__}\n"
+    assert outputs[3].out == "" and outputs[3].err.startswith("error: unknown gate spec")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_not_built_at_import():
+    src = str(Path(chancomp.__file__).resolve().parents[1])
+    code = "from chancomp import cli; print(cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": src})
+    assert proc.stdout.strip() == "0", proc.stderr
 
 
 def test_non_finite_gate_files_rejected(tmp_path, capsys):

@@ -35,6 +35,7 @@ from chancomp.qobj import (
     ppovm_from_experiment,
 )
 from chancomp.symmetry import (
+    _uniform_factor,
     build_split,
     off_eigenspace,
     random_antisymmetric_state,
@@ -329,6 +330,107 @@ def test_rank_factor_rebuilds_xi_with_its_rank():
             a, rebuilt = factor_and_rebuild(make_strategy(kind, xi))
             assert a.shape == (rank, d, d)
             assert max_abs(rebuilt - xi.mat) <= 1e-10
+
+
+def factor_leak(a, kind):
+    """Largest entry of (A_k - s A_k^T) / 2, the factor's part off xi's swap eigenspace of eigenvalue s."""
+    diff_sign = 1 if kind == "antisym_optimal" else -1  # s = -diff_sign
+    return max_abs(a + diff_sign * a.swapaxes(-1, -2)) / 2
+
+
+def haar_stacks(d, n, rng):
+    return (np.stack([haar_sample(d, rng).mat for _ in range(n)]) for _ in range(2))
+
+
+def test_factor_and_state_strategies_agree():
+    # On states of the eigenspace the factor's leak equals off_eigenspace of
+    # the dense view, and a strategy built from a factor gives the
+    # probabilities of the one built from the QState.  The factor differs
+    # from the QState path's: the closed form for the uniform states, an
+    # ancilla rotation A'_k = sum_j W_kj A_j of the eigh factor otherwise.
+    rng = np.random.default_rng(73)
+    for d in range(2, 7):
+        for kind, s, sampler, uniform in (
+            ("antisym_optimal", -1, random_antisymmetric_state, uniform_antisymmetric_state),
+            ("symmetric", 1, random_symmetric_state, uniform_symmetric_state),
+        ):
+            cases = [(uniform(d), _uniform_factor(d, s))]
+            for purity in ("pure", "mixed"):
+                xi = sampler(d, purity, rng)
+                a = make_strategy(kind, xi)._factor
+                w = haar_sample(len(a), rng).mat
+                cases.append((xi, np.einsum("kj,jab->kab", w, a)))
+            u, v = haar_stacks(d, 4, rng)
+            for xi, a in cases:
+                from_state, from_factor = make_strategy(kind, xi), Strategy(a, kind)
+                assert from_state.xi is xi  # a dense view only when given the factor
+                assert abs(factor_leak(a, kind) - off_eigenspace(from_factor.xi.mat, s)) <= 1e-14
+                assert max_abs(from_factor.xi.mat - xi.mat) <= 1e-14
+                got, want = (comparator._probabilities(st, u, v, (DIFF, INCONCLUSIVE)) for st in (from_factor, from_state))
+                assert max_abs(got - want) <= 1e-14
+
+
+def test_factor_leak_brackets_dense_support_residual():
+    # For a factor leaking out of the eigenspace, xi's leak (I - P) xi = L A^dag
+    # with L the factor's off part: leak^2 <= off_eigenspace(xi) <= sqrt(r) leak.
+    rng = np.random.default_rng(74)
+    for d in (2, 3, 5):
+        for kind, s in (("antisym_optimal", -1), ("symmetric", 1)):
+            on = _uniform_factor(d, s)
+            for eps in (1e-7, 1e-3, 0.3):
+                g = rng.normal(size=on.shape) + 1j * rng.normal(size=on.shape)
+                a = on + eps * (g + s * g.swapaxes(-1, -2))  # adds a part of the other symmetry
+                a /= np.sqrt(np.vdot(a, a).real)
+                leak = factor_leak(a, kind)
+                vecs = a.reshape(len(a), -1)
+                dense = off_eigenspace(vecs.T @ vecs.conj(), s)
+                assert leak**2 * (1 - 1e-9) <= dense <= np.sqrt(len(a)) * leak * (1 + 1e-9)
+
+
+def test_make_strategy_rejects_bad_factors():
+    a = _uniform_factor(3, -1)
+    leaking = a.copy()
+    leaking[0, 0, 0] = 1e-7  # A_0 + A_0^T has 2e-7 on the diagonal
+    with pytest.raises(ValueError, match=r"outside the antisym_optimal subspace \(largest entry off it 1\.0e-07 > 1e-10\)"):
+        make_strategy("antisym_optimal", leaking / np.sqrt(np.vdot(leaking, leaking).real))
+    with pytest.raises(ValueError, match="has trace"):
+        make_strategy("antisym_optimal", a * np.sqrt(1 + 1e-9))
+    nan = a.copy()
+    nan[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="has trace nan"):
+        make_strategy("antisym_optimal", nan)
+    with pytest.raises(ValueError, match=r"outside the symmetric subspace"):
+        make_strategy("symmetric", a)
+    for shape in ((3, 3), (0, 3, 3), (2, 3, 2), (2, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            make_strategy("antisym_optimal", np.ones(shape))
+    make_strategy("antisym_optimal", a * np.sqrt(1 + 1e-11))  # within ATOL
+
+
+def test_compare_closed_form_on_haar_pairs():
+    # With t = tr(U^dag V), p_diff = (d^2 - |t|^2) / (2 d (d -+ 1)) for the
+    # uniform antisymmetric (symmetric) test state.
+    rng = np.random.default_rng(75)
+    for d in (2, 3, 6, 16, 32):
+        for kind, s, dim in (("antisym_optimal", -1, d - 1), ("symmetric", 1, d + 1)):
+            strategy = make_strategy(kind, _uniform_factor(d, s))
+            for _ in range(3):
+                u, v = haar_sample(d, rng), haar_sample(d, rng)
+                t = np.trace(u.mat.conj().T @ v.mat)
+                report = run_pair(strategy, u, v)
+                assert abs(report.p_diff - (d * d - abs(t) ** 2) / (2 * d * dim)) <= ATOL
+                assert abs(report.p_inconclusive - (1 - report.p_diff)) <= ATOL
+
+
+def test_probabilities_in_bounded_passes(monkeypatch):
+    # Any pass size gives the single-pass probabilities to rounding.
+    rng = np.random.default_rng(76)
+    strategy = make_strategy("symmetric", random_symmetric_state(4, "mixed", rng))
+    u, v = haar_stacks(4, 5, rng)
+    whole = comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE))
+    for budget in (1, 16 * 5, 16 * 5 * 3):
+        monkeypatch.setattr(comparator, "_CHUNK_ENTRIES", budget)
+        assert max_abs(comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE)) - whole) <= 1e-15
 
 
 def test_run_pair_dimension_mismatch():

@@ -57,6 +57,18 @@ def test_tensor_associative_exact_on_integer_entries():
     assert np.array_equal(tensor(a, b, c), tensor(a, tensor(b, c)))
 
 
+def test_tensor_equals_kron_bit_for_bit():
+    # Complex, real and mixed factors of unequal shapes, as np.kron takes them.
+    rng = np.random.default_rng(9)
+    for shape_a, shape_b in (((2, 2), (2, 2)), ((3, 1), (2, 4)), ((6, 15), (1, 15)), ((4, 4), (3, 3))):
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b)
+        for x, y in ((a, b), (b, a), (a, a.conj()), (b, b)):
+            assert np.array_equal(tensor(x, y), np.kron(x, y))
+    c = random_matrix(rng, 2)
+    assert np.array_equal(tensor(c, SX, c), np.kron(np.kron(c, SX), c))
+
+
 def test_kron_stack_equals_kron_per_slice():
     rng = np.random.default_rng(8)
     for shape_u, shape_v in (((5, 2, 2), (5, 2, 2)), ((3, 3, 3), (3, 3, 3)), ((4, 2, 3), (4, 3, 1))):
