@@ -67,7 +67,7 @@ def resolve_gate(spec: str, d: int) -> UnitaryOp:
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 mat = matrix_from_json(json.load(fh))
-        except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise UsageError(f"cannot load matrix from {spec[1:]!r}: {exc}") from exc
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix {spec} has shape {mat.shape}, expected ({d}, {d})")

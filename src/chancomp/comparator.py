@@ -16,26 +16,9 @@ import numpy as np
 
 # haar_sample stays importable from here: the perfbench tracer wraps it under this module too.
 from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
-from .linalg import (
-    ATOL,
-    STRUCT_ATOL,
-    SUM_ATOL,
-    DimensionMismatchError,
-    kron_stack,
-    max_abs,
-    tensor,
-    trace_product,
-)
-from .qobj import (
-    ChoiOp,
-    Ppovm,
-    QState,
-    UnitaryOp,
-    _pair_output_vec,
-    clamp_probability,
-    ppovm_from_experiment,
-)
-from .symmetry import SymmetrySplit, build_split, off_eigenspace, qudit_dim
+from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
+from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability, ppovm_from_experiment
+from .symmetry import SymmetrySplit, _eigenbasis, build_split, off_eigenspace, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -95,8 +78,7 @@ class Strategy:
                              f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
         if state is not None:
             d = qudit_dim(state.dim)
-            split = build_split(d)
-            support = split.basis_minus if sign > 0 else split.basis_plus
+            support = _eigenbasis(d, -sign)
             # xi on the block just checked to hold it; keep the r eigenvalues above ATOL
             vals, vecs = np.linalg.eigh(support.conj().T @ state.mat @ support)
             keep = vals > ATOL
@@ -147,16 +129,19 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class NoErrorReport:
-    """Residuals of the no-error conditions; all vanish for a sound comparator."""
+    """Residuals of the no-error conditions; all vanish for a sound comparator.
+
+    twirl_residual is |tr(omega_T M_diff)|; identical_pair_bound bounds p_diff(U, U)
+    for every U, so it may exceed 1 for a comparator that errs.
+    """
 
     twirl_residual: float
-    haar_max_residual: float
+    identical_pair_bound: float
     same_residual: float | None
-    n_samples: int
 
     @property
     def max_residual(self) -> float:
-        worst = max(self.twirl_residual, self.haar_max_residual)
+        worst = max(self.twirl_residual, self.identical_pair_bound)
         if self.same_residual is not None:
             worst = max(worst, self.same_residual)
         return worst
@@ -261,32 +246,29 @@ def overall_success(strategy: Strategy, eta_same: float) -> float:
     return (1.0 - eta_same) * average_success(strategy)
 
 
-def verify_no_error(ppovm: Ppovm, n_samples: int, rng: np.random.Generator) -> NoErrorReport:
-    """Residuals of the no-error conditions for a claimed unambiguous comparator.
+def verify_no_error(ppovm: Ppovm) -> NoErrorReport:
+    """Residuals of the no-error conditions for a claimed unambiguous comparator; reports, never raises.
 
-    Checks the overlap of M_diff with the twirl Choi operator, the sampled
-    'diff' probability on n identical Haar pairs, and tr(M_same)/d^2 when a
-    'same' element is present.  Reports rather than raises; n_samples >= 1.
+    C = [B+ (x) B+, B- (x) B-] is an isometry onto the twirl Choi support, and
+    omega_T = C diag(1/d+ .., 1/d- ..) C^dag.  The Choi vector w of every
+    identical pair (U, U) lies in range(C) with |w|^2 = d^2.  So one compression
+    K = C^dag M_diff C gives both tr(omega_T M_diff) = tr K_++ / d+ + tr K_-- / d-
+    and p_diff(U, U) <= d^2 lambda_max(K) for every U.  tr(M_same)/d^2 is
+    reported when a 'same' element is present.
     """
-    if n_samples < 1:  # zero draws would report a Haar residual of 0
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     d = qudit_dim(ppovm.d_sys)
-    m_diff = ppovm.elements[DIFF]
-    omega_t = twirl_choi(d)
-    twirl_residual = abs(float(trace_product(omega_t.mat, m_diff).real))
-    haar_max = 0.0
-    for (u,) in _haar_chunks(d, n_samples, rng):
-        w = _pair_output_vec(kron_stack(u, u))  # tr(omega_{U,U} M) = <w|M|w>, one row per draw
-        for p in ((w @ m_diff.T) * w.conj()).sum(axis=1).real:
-            haar_max = max(haar_max, clamp_probability(float(p)))
+    bp, bm = _eigenbasis(d, 1), _eigenbasis(d, -1)
+    c = np.hstack([tensor(bp, bp), tensor(bm, bm)])
+    k = c.conj().T @ ppovm.elements[DIFF] @ c
+    d_plus, diag = bp.shape[1], np.diagonal(k).real
+    twirl_residual = abs(float(diag[:d_plus**2].sum() / d_plus + diag[d_plus**2:].sum() / bm.shape[1]))
     same_residual = None
     if SAME in ppovm.elements:
         same_residual = abs(float(np.trace(ppovm.elements[SAME]).real)) / (d * d)
     return NoErrorReport(
         twirl_residual=twirl_residual,
-        haar_max_residual=haar_max,
+        identical_pair_bound=max(0.0, d * d * float(np.linalg.eigvalsh(k)[-1])),
         same_residual=same_residual,
-        n_samples=n_samples,
     )
 
 

@@ -2,10 +2,9 @@
 
 Sampling uses the QR decomposition of a complex Ginibre matrix with the
 R-diagonal phase correction, which is exactly Haar distributed.  All samplers
-take an explicit numpy Generator.  Every Monte Carlo average, and the
-identical-pair loop of the no-error check, draws its unitaries through
-_haar_chunks, the one place that decides the chunk size and the stream
-order.  One set of draws can serve several averages: the CLI's twirl check
+take an explicit numpy Generator.  Every Monte Carlo average draws its
+unitaries through _haar_chunks, the one place that decides the chunk size
+and the stream order.  One set of draws can serve several averages: the CLI's twirl check
 evaluates its whole operator battery and the identical-pair Choi mean on
 the same n unitaries.
 """

@@ -81,6 +81,15 @@ def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
     return rows
 
 
+def _eigenbasis(d: int, sign: int) -> np.ndarray:
+    """Orthonormal basis (d*d, r) of the swap eigenspace of eigenvalue sign, one column per vector."""
+    if d < 2:
+        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    b = np.zeros((d * d, d * (d + sign) // 2), dtype=complex)
+    _fill_eigenbasis(b.T, d, sign)
+    return b
+
+
 def build_split(d: int) -> SymmetrySplit:
     """The symmetric/antisymmetric decomposition for qudit dimension d.
 
@@ -88,8 +97,6 @@ def build_split(d: int) -> SymmetrySplit:
     """
     if d in _SPLITS:
         return _SPLITS[d]
-    if d < 2:
-        raise ValueError(f"split needs d >= 2, got {d}")
     # Both filled from the swap's index map |jk> -> |kj>.  P+- = (I +- S) / 2:
     # 1/2 on the diagonal, +-1/2 where the swap maps |jk> to |kj> (so 1 and 0
     # where j = k), each entry exact.  No d^4 temporary is made besides the
@@ -98,13 +105,11 @@ def build_split(d: int) -> SymmetrySplit:
     swapped = (pair % d) * d + pair // d
     projectors, bases = [], []
     for sign in (1, -1):
+        bases.append(_eigenbasis(d, sign))  # rejects d < 2 before any projector
         p = np.zeros((d * d, d * d), dtype=complex)
         p[pair, pair] = 0.5
         p[swapped, pair] += sign * 0.5
-        b = np.zeros((d * d, d * (d + sign) // 2), dtype=complex)
-        _fill_eigenbasis(b.T, d, sign)  # one column per basis vector
         projectors.append(p)
-        bases.append(b)
     split = SymmetrySplit(d, *projectors, *bases)
     for a in (split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
         a.flags.writeable = False
@@ -143,14 +148,12 @@ def random_antisymmetric_state(d: int, purity: str, rng: np.random.Generator) ->
     singlet.  The mixed variant squares a Ginibre matrix on the subspace,
     giving full-rank coverage without any distributional claim.
     """
-    split = build_split(d)
-    return QState(_subspace_state(split.basis_minus, purity, rng), [d, d])
+    return QState(_subspace_state(_eigenbasis(d, -1), purity, rng), [d, d])
 
 
 def random_symmetric_state(d: int, purity: str, rng: np.random.Generator) -> QState:
     """Random two-qudit state supported entirely on the symmetric subspace."""
-    split = build_split(d)
-    return QState(_subspace_state(split.basis_plus, purity, rng), [d, d])
+    return QState(_subspace_state(_eigenbasis(d, 1), purity, rng), [d, d])
 
 
 def uniform_antisymmetric_state(d: int) -> QState:

@@ -158,6 +158,16 @@ def test_non_finite_gate_files_rejected(tmp_path, capsys):
             assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_deeply_nested_gate_file_rejected(tmp_path, capsys):
+    # json.load recurses once per bracket and raises RecursionError, not ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["compare", "--d", "2", "--u", f"@{path}", "--v", "identity"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot load matrix") and "Traceback" not in err
+
+
 def test_oversized_d_rejected_before_allocating(capsys):
     # Only sizes far past the limit: a large case is never run.
     for argv in (["compare", "--u", "identity", "--v", "identity"],

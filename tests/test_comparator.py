@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chancomp import comparator
+from chancomp import comparator, symmetry
 from chancomp.comparator import (
     DIFF,
     INCONCLUSIVE,
@@ -24,13 +24,12 @@ from chancomp.comparator import (
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import ATOL, STRUCT_ATOL, DimensionMismatchError, max_abs, tensor
+from chancomp.linalg import ATOL, STRUCT_ATOL, DimensionMismatchError, max_abs, tensor, trace_product
 from chancomp.qobj import (
     Ppovm,
     QState,
     UnitaryOp,
     choi_of_unitary,
-    clamp_probability,
     outcome_probability,
     ppovm_from_experiment,
 )
@@ -332,6 +331,32 @@ def test_rank_factor_rebuilds_xi_with_its_rank():
             assert max_abs(rebuilt - xi.mat) <= 1e-10
 
 
+def test_qstate_strategies_and_samplers_read_no_split(monkeypatch):
+    # The QState factor and the subspace samplers read the eigenbasis alone; with
+    # build_split refused they give bit for bit what they give on the cached split's bases.
+    refs = []
+    for d in range(2, 7):
+        split = build_split(d)
+        for kind, sampler, basis in (("antisym_optimal", random_antisymmetric_state, split.basis_minus),
+                                     ("symmetric", random_symmetric_state, split.basis_plus)):
+            for purity in ("pure", "mixed"):
+                seed = 100 * d + len(refs)
+                xi = QState(symmetry._subspace_state(basis, purity, np.random.default_rng(seed)), [d, d])
+                vals, vecs = np.linalg.eigh(basis.conj().T @ xi.mat @ basis)
+                keep = vals > ATOL
+                factor = (basis @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
+                refs.append((d, kind, sampler, purity, seed, xi, factor))
+
+    def refuse(d):
+        raise AssertionError(f"build_split({d}) called")
+
+    monkeypatch.setattr(comparator, "build_split", refuse)
+    monkeypatch.setattr(symmetry, "build_split", refuse)
+    for d, kind, sampler, purity, seed, xi, factor in refs:
+        assert np.array_equal(sampler(d, purity, np.random.default_rng(seed)).mat, xi.mat)
+        assert np.array_equal(make_strategy(kind, xi)._factor, factor)
+
+
 def factor_leak(a, kind):
     """Largest entry of (A_k - s A_k^T) / 2, the factor's part off xi's swap eigenspace of eigenvalue s."""
     diff_sign = 1 if kind == "antisym_optimal" else -1  # s = -diff_sign
@@ -485,8 +510,9 @@ def test_verify_no_error_on_sound_strategies():
     rng = np.random.default_rng(50)
     for d in (2, 3):
         strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
-        report = verify_no_error(strategy.ppovm, 25, rng)
+        report = verify_no_error(strategy.ppovm)
         assert report.max_residual <= 1e-10
+        assert report.identical_pair_bound <= 1e-10
         assert report.same_residual is None
 
 
@@ -500,36 +526,42 @@ def test_verify_no_error_flags_wrong_pairing():
         "diff": tensor(xi.mat.T, split.p_minus),
         "inconclusive": tensor(xi.mat.T, split.p_plus),
     }
-    report = verify_no_error(Ppovm(elements, xi), 10, rng)
+    report = verify_no_error(Ppovm(elements, xi))
     assert report.twirl_residual > 0.5
-    assert report.haar_max_residual > 0.5
+    assert report.identical_pair_bound > 0.5
 
 
-def test_verify_no_error_rejects_fewer_than_one_sample():
-    # With no draw the identical-pair residual would read 0, so a PPOVM that
-    # fires 'diff' on identical boxes half the time would pass that check.
+def test_verify_no_error_bounds_half_firing_ppovm():
+    # A PPOVM that fires 'diff' on identical boxes half the time must not pass:
+    # the bound covers every U, so it reads at least the sampled 1/2.
     xi = QState(SINGLET, [2, 2])
     half = tensor(xi.mat.T, np.eye(4) / 2)
-    ppovm = Ppovm({DIFF: half, INCONCLUSIVE: half}, xi)
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=rf"n_samples must be at least 1, got {n}"):
-            verify_no_error(ppovm, n, np.random.default_rng(53))
-    report = verify_no_error(ppovm, 1, np.random.default_rng(53))
-    assert report.n_samples == 1
-    assert abs(report.haar_max_residual - 0.5) <= 1e-10
+    report = verify_no_error(Ppovm({DIFF: half, INCONCLUSIVE: half}, xi))
+    assert report.identical_pair_bound >= 0.5
+    assert report.max_residual >= 0.5
 
 
-def test_verify_no_error_matches_per_draw_oracle(monkeypatch):
-    # The stacked identical-pair scores against tr(omega_{U,U} M_diff) drawn one
-    # by one from the same seed, for an effect whose score varies per draw, with
-    # n on both sides of chunk boundaries; every draw's score is range-checked.
-    clamped = []
+def test_verify_no_error_reports_elements_psd_within_tolerance():
+    # M_diff - eps I with the inconclusive element + eps I is accepted by Ppovm
+    # (both PSD within ATOL); the check must report it, not raise on a
+    # slightly negative identical-pair probability.
+    eps = 0.9e-10
+    rng = np.random.default_rng(56)
+    for d in (2, 3):
+        sound = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng)).ppovm
+        shift = eps * np.eye(d**4)
+        ppovm = Ppovm({DIFF: sound.elements[DIFF] - shift,
+                       INCONCLUSIVE: sound.elements[INCONCLUSIVE] + shift}, sound.rho)
+        report = verify_no_error(ppovm)
+        assert report.identical_pair_bound == 0.0
+        assert abs(report.twirl_residual - d * d * eps) <= 1e-12  # tr(omega_T) = d^2
 
-    def counted(p):
-        clamped.append(p)
-        return clamp_probability(p)
 
-    monkeypatch.setattr(comparator, "clamp_probability", counted)
+def test_verify_no_error_bounds_per_draw_oracle():
+    # The bound d^2 lambda_max(C^dag M_diff C) against tr(omega_{U,U} M_diff) drawn
+    # one pair at a time, for an effect whose score varies per draw; the twirl
+    # residual against the dense twirl Choi operator; the bound against the same
+    # compression on the twirl's eigenvectors, which does not use C.
     for d in (2, 3):
         rng = np.random.default_rng(54 + d)
         g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
@@ -538,23 +570,24 @@ def test_verify_no_error_matches_per_draw_oracle(monkeypatch):
         ket00 = np.zeros((d * d, d * d), dtype=complex)
         ket00[0, 0] = 1.0
         ppovm = ppovm_from_experiment(xi, {"diff": ket00, "inconclusive": np.eye(d * d) - ket00})
-        for n in (1, 63, 64, 65, 130):
-            clamped.clear()
-            report = verify_no_error(ppovm, n, np.random.default_rng(n))
-            assert len(clamped) == n
-            rng = np.random.default_rng(n)
-            oracle = []
-            for _ in range(n):
-                u = haar_sample(d, rng).mat
-                omega = choi_of_unitary(UnitaryOp(np.kron(u, u)))
-                oracle.append(outcome_probability(omega, ppovm.elements["diff"]))
-            assert report.n_samples == n
-            assert 0.0 < max(oracle) < 1.0
-            assert abs(report.haar_max_residual - max(oracle)) <= 1e-12
+        m_diff = ppovm.elements["diff"]
+        report = verify_no_error(ppovm)
+        oracle = []
+        for _ in range(300):
+            u = haar_sample(d, rng).mat
+            omega = choi_of_unitary(UnitaryOp(np.kron(u, u)))
+            oracle.append(outcome_probability(omega, m_diff))
+        assert 0.0 < max(oracle) < 1.0
+        assert max(oracle) <= report.identical_pair_bound + ATOL
+        omega_t = twirl_choi(d).mat
+        assert abs(report.twirl_residual - abs(trace_product(omega_t, m_diff).real)) <= 1e-12
+        vals, vecs = np.linalg.eigh(omega_t)
+        q = vecs[:, vals > ATOL]
+        spectrum = d * d * np.linalg.eigvalsh(q.conj().T @ m_diff @ q)[-1]
+        assert abs(report.identical_pair_bound - spectrum) <= 1e-12
 
 
 def test_verify_no_error_flags_same_element():
-    rng = np.random.default_rng(52)
     xi = QState(SINGLET, [2, 2])
     split = build_split(2)
     elements = {
@@ -562,7 +595,7 @@ def test_verify_no_error_flags_same_element():
         "same": 0.5 * tensor(xi.mat.T, split.p_minus),
         "inconclusive": 0.5 * tensor(xi.mat.T, split.p_minus),
     }
-    report = verify_no_error(Ppovm(elements, xi), 5, rng)
+    report = verify_no_error(Ppovm(elements, xi))
     assert report.same_residual is not None and report.same_residual > 0.01
     assert report.max_residual >= report.same_residual
 
@@ -577,8 +610,9 @@ def test_random_unambiguous_ppovm_properties():
             ppovm = random_unambiguous_ppovm(d, rng)
             success = np.trace(ppovm.elements["diff"]).real / (d * d)
             assert success <= bound + 1e-9
-        report = verify_no_error(ppovm, 10, rng)
+        report = verify_no_error(ppovm)
         assert report.max_residual <= 1e-9
+        assert report.identical_pair_bound <= 1e-10
 
 
 def test_random_unambiguous_ppovm_degenerate_rho():

@@ -198,8 +198,9 @@ def test_uniform_subspace_states():
 
 def test_sampler_argument_validation():
     rng = np.random.default_rng(26)
-    with pytest.raises(ValueError):
-        random_antisymmetric_state(1, "pure", rng)
+    for sampler in (random_antisymmetric_state, random_symmetric_state):
+        with pytest.raises(ValueError, match="d >= 2, got 1"):
+            sampler(1, "pure", rng)
     with pytest.raises(ValueError):
         random_antisymmetric_state(3, "rank1", rng)
 
