@@ -53,7 +53,8 @@ class Strategy:
     """
 
     kind: str
-    _factor: np.ndarray = field(repr=False)  # A as given, or xi's eigenvectors scaled by root eigenvalues
+    # A as given, or xi's eigenvectors scaled by root eigenvalues; a view of one (d, r, d) array
+    _factor: np.ndarray = field(repr=False)
     _state: QState | None = field(repr=False)  # xi as given, if given densely
 
     def __init__(self, xi: QState | np.ndarray, kind: str):
@@ -67,7 +68,9 @@ class Strategy:
             a = np.asarray(xi, dtype=complex)
             if a.ndim != 3 or len(a) < 1 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
                 raise DimensionMismatchError(f"test state factor has shape {a.shape}, expected (r, d, d)")
-            norm = float(np.vdot(a, a).real)  # tr(xi), no temporary; NaN or inf if an entry is not finite
+            b = np.ascontiguousarray(a.swapaxes(0, 1))  # the (d, r, d) layout kept; no copy if so given
+            norm = float(np.vdot(b, b).real)  # tr(xi), no temporary; NaN or inf if an entry is not finite
+            a = b.swapaxes(0, 1)
             if not (abs(norm - 1.0) <= ATOL):
                 raise ValueError(f"test state factor has trace {norm}, expected a finite 1")
             step = _CHUNK_ENTRIES // a[0].size or 1
@@ -82,7 +85,8 @@ class Strategy:
             # xi on the block just checked to hold it; keep the r eigenvalues above ATOL
             vals, vecs = np.linalg.eigh(support.conj().T @ state.mat @ support)
             keep = vals > ATOL
-            a = (support @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
+            a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))  # (d*d, r): A_k is column k
+            a = np.ascontiguousarray(a.reshape(d, d, -1).transpose(0, 2, 1)).swapaxes(0, 1)
         for name, value in (("kind", kind), ("_factor", a), ("_state", state)):
             object.__setattr__(self, name, value)
 
@@ -187,16 +191,13 @@ def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> C
     Each probability is tr(F (U (x) V) xi (U (x) V)^dagger), which equals
     tr(omega_{U,V} (xi^T (x) F)) on the doubled space.
     """
-    if u.dim != strategy.d or v.dim != strategy.d:
-        raise DimensionMismatchError(
-            f"strategy is for d={strategy.d}, got unitaries of dim {u.dim}, {v.dim}"
-        )
-    p_diff, p_inc = (
-        clamp_probability(float(p))
-        for (p,) in _probabilities(strategy, u.mat[None], v.mat[None], (DIFF, INCONCLUSIVE))
-    )
+    d, um, vm = strategy._factor.shape[-1], u.mat, v.mat
+    if len(um) != d or len(vm) != d:
+        raise DimensionMismatchError(f"strategy is for d={d}, got unitaries of dim {len(um)}, {len(vm)}")
+    (p_diff,), (p_inc,) = _probabilities(strategy, um[None], vm[None], (DIFF, INCONCLUSIVE)).tolist()
+    p_diff, p_inc = clamp_probability(p_diff), clamp_probability(p_inc)
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
-    return ComparisonReport(p_diff=p_diff, p_inconclusive=p_inc, verdict=verdict, seed=seed)
+    return ComparisonReport(p_diff, p_inc, verdict, seed)
 
 
 def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, outcomes: tuple[str, ...]) -> np.ndarray:
@@ -204,22 +205,25 @@ def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, outcomes: t
 
     With xi = sum_k vec(A_k) vec(A_k)^dagger, the boxes map vec(A_k) to
     w_k = vec(W_k), W_k = U A_k V^T, and the swap maps w_k to vec(W_k^T).  So
-    P+- = sum_k <w_k|(w_k +- S w_k)> / 2: O(r d^3) per pair and outcome for a
-    rank-r xi instead of the d^6 of conjugating xi.
+    P+- = sum_k ||W_k +- W_k^T||^2 / 4: O(r d^3) per pair for a rank-r xi
+    instead of the d^6 of conjugating xi.  On the factor's (d, r, d) layout
+    B = [A_0 | ... | A_{r-1}], a pass over s factors is two GEMMs: T = U B_s
+    for all pairs at once, then W = T V^T, W[p, i, k, j] = (U_p A_k V_p^T)[i, j].
     """
-    n, a = len(u), strategy._factor
-    step = _CHUNK_ENTRIES // (n * a.size // len(a)) or 1
-    total = None
-    for k in range(0, len(a), step):  # temporaries of O(n step d^2) entries
-        w = u[:, None] @ a[k:k + step] @ v[:, None].swapaxes(-1, -2)
-        wt = w.swapaxes(-1, -2)
-        rows = []
-        for label in outcomes:
-            sign = strategy._sign if label == DIFF else -strategy._sign  # the label's swap eigenvalue
-            # conj(w +- S w) * w sums to 2 <w|P+-|w>; numpy reuses each temporary in place.
-            rows.append(((w + wt if sign > 0 else w - wt).conj() * w).real.reshape(n, -1).sum(axis=1))
-        total = np.stack(rows) if total is None else total + np.stack(rows)
-    return total / 2
+    n, d = u.shape[:2]
+    b = strategy._factor.swapaxes(0, 1)
+    step = _CHUNK_ENTRIES // (n * d * d) or 1
+    signs = [strategy._sign if label == DIFF else -strategy._sign for label in outcomes]  # swap eigenvalues
+    u, vt = u.reshape(n * d, d), v.swapaxes(-1, -2)
+    total = np.zeros((len(signs), n))
+    for k in range(0, b.shape[1], step):  # temporaries of O(n step d^2) entries
+        w = ((u @ b[:, k:k + step].reshape(d, -1)).reshape(n, -1, d) @ vt).reshape(n, d, -1, d)
+        wt = w.transpose(0, 3, 2, 1)
+        for row, sign in zip(total, signs):
+            # W +- W^T is exactly (anti)symmetric, so identical boxes leave only rounding squared.
+            x = (w + wt if sign > 0 else w - wt).reshape(n, -1).view(float)
+            row += np.square(x, out=x).sum(axis=1)  # numpy's pairwise sum; a BLAS dot's is looser
+    return total / 4
 
 
 def average_success(strategy: Strategy) -> float:

@@ -7,6 +7,8 @@ tensor factors are ordered with the first factor's index most significant
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # The tolerance ladder.  Every absolute-error check in the package compares
@@ -73,14 +75,15 @@ def is_hermitian(a) -> bool:
     return max_abs(diff) <= ATOL
 
 
-# Order of the diagonal blocks in _cholesky_in_place.  np.linalg.cholesky
-# copies its input to a work buffer and returns a new factor, so one call on
-# the whole matrix would hold three n x n arrays; by blocks it holds O(n b).
+# Order of the diagonal blocks in _cholesky_in_place, and the largest order
+# is_psd factors by one np.linalg.cholesky call.  That call copies its input
+# to a work buffer and returns a new factor, so on the whole matrix it would
+# hold three n x n arrays; by blocks it holds O(n b).
 _CHOLESKY_BLOCK = 256
 
 
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of a with its Cholesky factor; LinAlgError if a is not positive definite.
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite a's lower triangle with its Cholesky factor, return a; LinAlgError if not positive definite.
 
     Right-looking block Cholesky (Golub & Van Loan, Matrix Computations, 4th
     ed., sec. 4.2) that reads only the lower triangle.
@@ -96,6 +99,7 @@ def _cholesky_in_place(a: np.ndarray) -> None:
         panel[...] = np.linalg.solve(lkk.conj(), panel.T).T  # L_ik = A_ik L_kk^-dagger
         for j in range(e, n, b):
             a[j:, j:j + b] -= panel[j - e:] @ panel[j - e:j - e + b].conj().T
+    return a
 
 
 def is_psd(a) -> bool:
@@ -103,18 +107,19 @@ def is_psd(a) -> bool:
 
     That is lambda_min(A) > -ATOL up to rounding of order n*eps*||A|| (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).
-    The factor overwrites the one shifted copy of A.
+    Above order _CHOLESKY_BLOCK the factor overwrites the one shifted copy of A.
     """
     m = as_matrix(a)
-    if not is_hermitian(m):
+    if not is_hermitian(m):  # so is every input with an entry that is not finite: it meets NaN or inf - inf
         raise ValueError("is_psd requires a Hermitian matrix")
+    n = m.shape[0]
     shifted = m.copy()
-    shifted.reshape(-1)[:: m.shape[0] + 1] += ATOL
+    shifted.ravel()[:: n + 1] += ATOL
     try:
-        _cholesky_in_place(shifted)
+        factor = np.linalg.cholesky(shifted) if n <= _CHOLESKY_BLOCK else _cholesky_in_place(shifted)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.isfinite(shifted.diagonal()).all())
+    return math.isfinite(factor.trace().real)  # a LAPACK may return a NaN factor where it should raise
 
 
 def trace_product(a, b) -> complex:

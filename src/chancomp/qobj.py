@@ -38,12 +38,11 @@ def _positive_operator(mat, n: int, name: str) -> np.ndarray:
     m = as_matrix(mat)
     if m.shape != (n, n):
         raise DimensionMismatchError(f"{name} has shape {m.shape}, expected {(n, n)}")
-    if not np.isfinite(m).all():  # a Cholesky factor of NaN input need not raise
-        raise ValueError(f"{name} has non-finite entries")
     try:
         psd = is_psd(m)  # one Hermiticity pass, then one Cholesky factorisation
-    except ValueError:  # is_psd rejects a non-Hermitian input
-        raise ValueError(f"{name} is not Hermitian") from None
+    except ValueError:  # is_psd rejects a non-Hermitian input, and so every non-finite one
+        flaw = "is not Hermitian" if np.isfinite(m).all() else "has non-finite entries"
+        raise ValueError(f"{name} {flaw}") from None
     if not psd:
         raise ValueError(f"{name} is not positive semidefinite")
     return m

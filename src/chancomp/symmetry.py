@@ -68,16 +68,16 @@ _SPLITS: dict[int, SymmetrySplit] = {}
 
 
 def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
-    """Write the basis of the swap eigenspace of eigenvalue sign into rows, zeroed (r, d*d); return rows.
+    """Write the basis of the swap eigenspace of eigenvalue sign into rows, zeroed (r, d, d); return rows.
 
     Row k is the k-th pair jk below its swap: 1 on |jj>, else 1/sqrt(2) on |jk>, sign/sqrt(2) on |kj>.
     """
     pair = np.arange(d * d)
-    swapped = (pair % d) * d + pair // d
-    cols = pair[pair <= swapped] if sign > 0 else pair[pair < swapped]
+    cols = pair[pair // d <= pair % d] if sign > 0 else pair[pair // d < pair % d]
+    j, k = np.divmod(cols, d)
     at = np.arange(cols.size)
-    rows[at, swapped[cols]] = sign / np.sqrt(2)
-    rows[at, cols] = np.where(cols == swapped[cols], 1.0, 1 / np.sqrt(2))
+    rows[at, k, j] = sign / np.sqrt(2)
+    rows[at, j, k] = np.where(j == k, 1.0, 1 / np.sqrt(2))
     return rows
 
 
@@ -86,7 +86,7 @@ def _eigenbasis(d: int, sign: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
     b = np.zeros((d * d, d * (d + sign) // 2), dtype=complex)
-    _fill_eigenbasis(b.T, d, sign)
+    _fill_eigenbasis(b.reshape(d, d, -1).transpose(2, 0, 1), d, sign)
     return b
 
 
@@ -118,11 +118,15 @@ def build_split(d: int) -> SymmetrySplit:
 
 
 def _uniform_factor(d: int, sign: int) -> np.ndarray:
-    """Factor stack (r, d, d) of the uniform state on the eigenspace of sign: basis row k times sqrt(1/r)."""
+    """Factor stack (r, d, d) of the uniform state on the eigenspace of sign: basis row k times sqrt(1/r).
+
+    Stored in (d, r, d) order, the layout a Strategy keeps, so it takes this stack without a copy.
+    """
     r = d * (d + sign) // 2
-    a = _fill_eigenbasis(np.zeros((r, d * d), dtype=complex), d, sign)
+    a = np.zeros((d, r, d), dtype=complex)
+    _fill_eigenbasis(a.swapaxes(0, 1), d, sign)
     a *= math.sqrt(1 / r)
-    return a.reshape(r, d, d)
+    return a.swapaxes(0, 1)
 
 
 def _subspace_state(basis: np.ndarray, purity: str, rng: np.random.Generator) -> np.ndarray:

@@ -210,21 +210,30 @@ def test_support_residual_matches_basis_oracle():
                     assert (got <= ATOL) == (want <= ATOL) == on_subspace
 
 
+def random_factor(d, s, r, rng):
+    """Random unit-trace factor stack (r, d, d) on the swap eigenspace of eigenvalue s."""
+    g = rng.normal(size=(r, d, d)) + 1j * rng.normal(size=(r, d, d))
+    a = g + s * g.swapaxes(-1, -2)
+    return a / np.sqrt(np.vdot(a, a).real)
+
+
 def test_run_pair_no_error_on_identical_channels():
     # Both named strategies are unambiguous: identical channels, also up to
-    # a global phase, never trigger the conclusive outcome.
+    # a global phase, never trigger the conclusive outcome.  W +- W^T is exactly
+    # (anti)symmetric, so p_diff is rounding squared (the norm - overlap form
+    # ||W||^2 - <W^T|W> would leave about 1e-16).
     rng = np.random.default_rng(42)
-    for d in (2, 3, 4, 5, 6):
-        strategies = [
-            make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng)),
-            make_strategy("symmetric", random_symmetric_state(d, "mixed", rng)),
-        ]
+    for d in range(2, 9):
+        strategies = []
+        for kind, s, sampler in (("antisym_optimal", -1, random_antisymmetric_state),
+                                 ("symmetric", 1, random_symmetric_state)):
+            strategies += [make_strategy(kind, sampler(d, "mixed", rng)), make_strategy(kind, random_factor(d, s, 3, rng))]
         for strategy in strategies:
             for _ in range(50):
                 u = haar_sample(d, rng)
                 phased = UnitaryOp(np.exp(1j * rng.uniform(0, 2 * np.pi)) * u.mat)
-                assert run_pair(strategy, u, u).p_diff <= 1e-10
-                assert run_pair(strategy, u, phased).p_diff <= 1e-10
+                assert run_pair(strategy, u, u).p_diff <= 1e-24
+                assert run_pair(strategy, u, phased).p_diff <= 1e-24
 
 
 def test_inconclusive_element_is_psd():
@@ -458,6 +467,25 @@ def test_probabilities_in_bounded_passes(monkeypatch):
         assert max_abs(comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE)) - whole) <= 1e-15
 
 
+def test_stacked_pairs_match_single_pairs(monkeypatch):
+    # One call on n pairs gives each pair's own probabilities, for one to three
+    # passes over the factor (the single-pair calls take fewer).
+    rng = np.random.default_rng(77)
+    n = 4
+    for d in range(2, 7):
+        for kind, s in (("antisym_optimal", -1), ("symmetric", 1)):
+            full = d * (d + s) // 2
+            for r in sorted({1, 2, full}):
+                strategy = make_strategy(kind, random_factor(d, s, r, rng))
+                u, v = haar_stacks(d, n, rng)
+                for passes in range(1, min(r, 3) + 1):
+                    monkeypatch.setattr(comparator, "_CHUNK_ENTRIES", -(-r // passes) * n * d * d)
+                    stacked = comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE))
+                    singles = [comparator._probabilities(strategy, u[i:i + 1], v[i:i + 1], (DIFF, INCONCLUSIVE))
+                               for i in range(n)]
+                    assert max_abs(stacked - np.hstack(singles)) <= 1e-15
+
+
 def test_run_pair_dimension_mismatch():
     strategy = make_strategy("antisym_optimal", QState(SINGLET, [2, 2]))
     rng = np.random.default_rng(46)
@@ -472,6 +500,13 @@ def test_run_pair_verdict_sampling_is_seeded():
     a = run_pair(strategy, u, v, seed=11)
     b = run_pair(strategy, u, v, seed=11)
     assert a == b
+    # The verdict is the seed's first uniform draw against p_diff.
+    verdicts = set()
+    for seed in range(200):
+        report = run_pair(strategy, u, v, seed=seed)
+        assert report.verdict == ("different" if np.random.default_rng(seed).random() < report.p_diff else "inconclusive")
+        verdicts.add(report.verdict)
+    assert verdicts == {"different", "inconclusive"}
 
 
 def test_average_success_values():
