@@ -41,7 +41,7 @@ from .comparator import (
 from .haar import _twirl_battery_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, choi_of_unitary
-from .symmetry import _uniform_factor, build_split
+from .symmetry import _uniform_factor, projector
 
 
 class UsageError(Exception):
@@ -205,7 +205,7 @@ def cmd_bound_scan(args) -> int:
 def cmd_twirl_verify(args) -> int:
     d = args.d
     rng = np.random.default_rng(args.seed)
-    split = build_split(d)
+    p_plus, p_minus = projector(d, 1), projector(d, -1)
     dd = d * d
 
     def basis_op(row: int, col: int) -> np.ndarray:
@@ -217,9 +217,9 @@ def cmd_twirl_verify(args) -> int:
     herm = (herm + herm.conj().T) / 2
     battery = {
         "identity": np.eye(dd, dtype=complex),
-        "swap": split.p_plus - split.p_minus,
-        "p_plus": split.p_plus,
-        "p_minus": split.p_minus,
+        "swap": p_plus - p_minus,
+        "p_plus": p_plus,
+        "p_minus": p_minus,
         "ket01_proj": basis_op(1, 1),
         "ket01_bra10": basis_op(1, d),
         "random_hermitian": herm,

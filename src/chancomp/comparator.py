@@ -10,7 +10,7 @@ attained exactly by M_diff = xi^T (x) P+ with an antisymmetric test state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ import numpy as np
 from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
 from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability, ppovm_from_experiment
-from .symmetry import SymmetrySplit, _eigenbasis, build_split, off_eigenspace, qudit_dim
+from .symmetry import eigenbasis, off_eigenspace, projector, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -81,7 +81,7 @@ class Strategy:
                              f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
         if state is not None:
             d = qudit_dim(state.dim)
-            support = _eigenbasis(d, -sign)
+            support = eigenbasis(d, -sign)
             # xi on the block just checked to hold it; keep the r eigenvalues above ATOL
             vals, vecs = np.linalg.eigh(support.conj().T @ state.mat @ support)
             keep = vals > ATOL
@@ -105,8 +105,7 @@ class Strategy:
 
     @property
     def effects(self) -> dict[str, np.ndarray]:
-        split = build_split(self.d)
-        return dict(zip((DIFF, INCONCLUSIVE), (split.p_plus, split.p_minus)[::self._sign]))
+        return {DIFF: projector(self.d, self._sign), INCONCLUSIVE: projector(self.d, -self._sign)}
 
     @property
     def ppovm(self) -> Ppovm:
@@ -123,12 +122,7 @@ class ComparisonReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "p_diff": self.p_diff,
-            "p_inconclusive": self.p_inconclusive,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -166,11 +160,8 @@ def twirl_choi(d: int) -> ChoiOp:
     it is also the Haar average of the Choi operators of identical pairs,
     which is what makes its orthocomplement the home of M_diff.
     """
-    split = build_split(d)
-    mat = (
-        tensor(split.p_plus, split.p_plus) / split.dim_plus
-        + tensor(split.p_minus, split.p_minus) / split.dim_minus
-    )
+    p_plus, p_minus = projector(d, 1), projector(d, -1)
+    mat = tensor(p_plus, p_plus) / (d * (d + 1) // 2) + tensor(p_minus, p_minus) / (d * (d - 1) // 2)
     return ChoiOp(mat, d * d)
 
 
@@ -261,7 +252,7 @@ def verify_no_error(ppovm: Ppovm) -> NoErrorReport:
     reported when a 'same' element is present.
     """
     d = qudit_dim(ppovm.d_sys)
-    bp, bm = _eigenbasis(d, 1), _eigenbasis(d, -1)
+    bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
     c = np.hstack([tensor(bp, bp), tensor(bm, bm)])
     k = c.conj().T @ ppovm.elements[DIFF] @ c
     d_plus, diag = bp.shape[1], np.diagonal(k).real
@@ -293,10 +284,10 @@ def max_psd_scale(base: np.ndarray, k: np.ndarray) -> float:
     return lo
 
 
-def _cross_schur_complement(rho_t: np.ndarray, split: SymmetrySplit) -> np.ndarray:
+def _cross_schur_complement(rho_t: np.ndarray, bp: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """Shorted operator of B = rho^T (x) I onto the cross subspace S, in the basis of S.
 
-    S is spanned by the columns of [B+ (x) B-, B- (x) B+].  B commutes with
+    S is spanned by the columns of [B+ (x) B-, B- (x) B+], B+- = bp, bm.  B commutes with
     I (x) P+-, so the generalised Schur complement splits into d^2-sized
     pieces: blockdiag(sh(rho^T; B+) (x) I_{d-}, sh(rho^T; B-) (x) I_{d+}) with
     sh(A; X) = X^dag A X - X^dag A Y (Y^dag A Y)^+ Y^dag A X, Y the other
@@ -310,11 +301,10 @@ def _cross_schur_complement(rho_t: np.ndarray, split: SymmetrySplit) -> np.ndarr
         w = xa @ y @ vecs[:, keep]
         return xa @ x - (w / vals[keep]) @ w.conj().T
 
-    bp, bm = split.basis_plus, split.basis_minus
-    n = split.dim_plus * split.dim_minus
+    n = bp.shape[1] * bm.shape[1]
     sigma = np.zeros((2 * n, 2 * n), dtype=complex)
-    sigma[:n, :n] = tensor(sh(bp, bm), np.eye(split.dim_minus))
-    sigma[n:, n:] = tensor(sh(bm, bp), np.eye(split.dim_plus))
+    sigma[:n, :n] = tensor(sh(bp, bm), np.eye(bm.shape[1]))
+    sigma[n:, n:] = tensor(sh(bm, bp), np.eye(bp.shape[1]))
     return sigma
 
 
@@ -331,7 +321,7 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
     on the full space.  rho defaults to a random full-rank two-qudit state; a
     rank-deficient rho misaligned with K degenerates to lambda = 0.
     """
-    split = build_split(d)
+    bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
     dd = d * d
     if rho is None:
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
@@ -341,14 +331,13 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
         raise DimensionMismatchError(f"rho must live on two qudits of dim {d}")
 
     # Columns span {|s_j, a_n>, |a_n, s_j>}; kron acts columnwise.
-    bp, bm = split.basis_plus, split.basis_minus
     cross = np.hstack([tensor(bp, bm), tensor(bm, bp)])
     m = cross.shape[1]
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     gram = g @ g.conj().T
     gram /= float(np.linalg.eigvalsh(gram)[-1])
 
-    lam = max_psd_scale(_cross_schur_complement(rho.mat.T, split), gram)
+    lam = max_psd_scale(_cross_schur_complement(rho.mat.T, bp, bm), gram)
     m_diff = lam * (cross @ gram @ cross.conj().T)
     return Ppovm({DIFF: m_diff, INCONCLUSIVE: tensor(rho.mat.T, np.eye(dd)) - m_diff}, rho)
 
@@ -362,12 +351,11 @@ def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
     conditions first.
     """
     d = qudit_dim(ppovm.d_sys)
-    split = build_split(d)
     m_diff = ppovm.elements[DIFF]
     rho_t = ppovm.rho.mat.T
 
     success_residual = abs(float(np.trace(m_diff).real) / (d * d) - success_bound(d))
-    struct_residual = max_abs(m_diff - tensor(rho_t, split.p_plus))
+    struct_residual = max_abs(m_diff - tensor(rho_t, projector(d, 1)))
     support_residual = off_eigenspace(rho_t, -1)
 
     ok = success_residual <= SUM_ATOL and struct_residual <= STRUCT_ATOL and support_residual <= STRUCT_ATOL

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack, trace_product
 from .qobj import UnitaryOp, _pair_output_vec
-from .symmetry import build_split, qudit_dim
+from .symmetry import projector, qudit_dim
 
 # Draws per stacked numpy expression in the Monte Carlo averages.  A chunk
 # holds a few (k, d^2, d^2) arrays, so larger chunks cost peak memory for
@@ -119,10 +119,11 @@ def twirl_exact(y) -> np.ndarray:
     so it applies to arbitrary (not only selfadjoint) operators.
     """
     m = _square(y)
-    split = build_split(qudit_dim(m.shape[0]))
-    w_plus = trace_product(m, split.p_plus) / split.dim_plus
-    w_minus = trace_product(m, split.p_minus) / split.dim_minus
-    return w_plus * split.p_plus + w_minus * split.p_minus
+    d = qudit_dim(m.shape[0])
+    p_plus, p_minus = projector(d, 1), projector(d, -1)
+    w_plus = trace_product(m, p_plus) / (d * (d + 1) // 2)
+    w_minus = trace_product(m, p_minus) / (d * (d - 1) // 2)
+    return w_plus * p_plus + w_minus * p_minus
 
 
 def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:

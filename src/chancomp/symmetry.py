@@ -6,41 +6,20 @@ d(d-1)/2.  S is never stored as a matrix: the projectors and bases are
 filled from the swapped index of each computational pair, and S x exchanges
 the two row qudits of x.  Basis vectors are the (anti)symmetrized
 computational pairs, enumerated in lexicographic order so fixtures are
-reproducible.
+reproducible.  projector fills a fresh d^4 array on every call, so none
+outlives its reader; eigenbasis is cached per (d, s), read-only, since
+every random_unambiguous_ppovm draw reads both bases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DimensionMismatchError, max_abs
 from .qobj import QState
-
-
-@dataclass(frozen=True)
-class SymmetrySplit:
-    """Projectors and orthonormal bases of the two swap eigenspaces.
-
-    basis_plus / basis_minus hold the basis vectors as columns, so each
-    projector is reconstructed as B @ B^dagger.
-    """
-
-    d: int
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    basis_plus: np.ndarray
-    basis_minus: np.ndarray
-
-    @property
-    def dim_plus(self) -> int:
-        return self.d * (self.d + 1) // 2
-
-    @property
-    def dim_minus(self) -> int:
-        return self.d * (self.d - 1) // 2
 
 
 def qudit_dim(n: int) -> int:
@@ -64,9 +43,6 @@ def off_eigenspace(x: np.ndarray, s: int) -> float:
     return max_abs(resid) / 2
 
 
-_SPLITS: dict[int, SymmetrySplit] = {}
-
-
 def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
     """Write the basis of the swap eigenspace of eigenvalue sign into rows, zeroed (r, d, d); return rows.
 
@@ -81,40 +57,33 @@ def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
     return rows
 
 
-def _eigenbasis(d: int, sign: int) -> np.ndarray:
-    """Orthonormal basis (d*d, r) of the swap eigenspace of eigenvalue sign, one column per vector."""
+def projector(d: int, s: int) -> np.ndarray:
+    """Projector (I + s S) / 2 onto the swap eigenspace of eigenvalue s = +-1, a fresh (d*d, d*d) array.
+
+    Filled from the swap's index map |jk> -> |kj>: 1/2 on the diagonal, s/2
+    where the swap maps |jk> to |kj> (so 1 or 0 where j = k), each entry exact.
+    """
     if d < 2:
         raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
-    b = np.zeros((d * d, d * (d + sign) // 2), dtype=complex)
-    _fill_eigenbasis(b.reshape(d, d, -1).transpose(2, 0, 1), d, sign)
-    return b
-
-
-def build_split(d: int) -> SymmetrySplit:
-    """The symmetric/antisymmetric decomposition for qudit dimension d.
-
-    Built once per d and shared by every caller, so its arrays are read-only.
-    """
-    if d in _SPLITS:
-        return _SPLITS[d]
-    # Both filled from the swap's index map |jk> -> |kj>.  P+- = (I +- S) / 2:
-    # 1/2 on the diagonal, +-1/2 where the swap maps |jk> to |kj> (so 1 and 0
-    # where j = k), each entry exact.  No d^4 temporary is made besides the
-    # projectors.
     pair = np.arange(d * d)
-    swapped = (pair % d) * d + pair // d
-    projectors, bases = [], []
-    for sign in (1, -1):
-        bases.append(_eigenbasis(d, sign))  # rejects d < 2 before any projector
-        p = np.zeros((d * d, d * d), dtype=complex)
-        p[pair, pair] = 0.5
-        p[swapped, pair] += sign * 0.5
-        projectors.append(p)
-    split = SymmetrySplit(d, *projectors, *bases)
-    for a in (split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
-        a.flags.writeable = False
-    _SPLITS[d] = split
-    return split
+    p = np.zeros((d * d, d * d), dtype=complex)
+    p[pair, pair] = 0.5
+    p[(pair % d) * d + pair // d, pair] += s * 0.5
+    return p
+
+
+@functools.cache
+def eigenbasis(d: int, s: int) -> np.ndarray:
+    """Orthonormal basis (d*d, d(d+s)/2) of the swap eigenspace of eigenvalue s, one column per vector.
+
+    Built once per (d, s) and shared by every caller, so the array is read-only.
+    """
+    if d < 2:
+        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    b = np.zeros((d * d, d * (d + s) // 2), dtype=complex)
+    _fill_eigenbasis(b.reshape(d, d, -1).transpose(2, 0, 1), d, s)
+    b.flags.writeable = False
+    return b
 
 
 def _uniform_factor(d: int, sign: int) -> np.ndarray:
@@ -152,21 +121,19 @@ def random_antisymmetric_state(d: int, purity: str, rng: np.random.Generator) ->
     singlet.  The mixed variant squares a Ginibre matrix on the subspace,
     giving full-rank coverage without any distributional claim.
     """
-    return QState(_subspace_state(_eigenbasis(d, -1), purity, rng), [d, d])
+    return QState(_subspace_state(eigenbasis(d, -1), purity, rng), [d, d])
 
 
 def random_symmetric_state(d: int, purity: str, rng: np.random.Generator) -> QState:
     """Random two-qudit state supported entirely on the symmetric subspace."""
-    return QState(_subspace_state(_eigenbasis(d, 1), purity, rng), [d, d])
+    return QState(_subspace_state(eigenbasis(d, 1), purity, rng), [d, d])
 
 
 def uniform_antisymmetric_state(d: int) -> QState:
     """Maximally mixed state on the antisymmetric subspace (the d=2 case is the singlet)."""
-    split = build_split(d)
-    return QState(split.p_minus / split.dim_minus, [d, d])
+    return QState(projector(d, -1) / (d * (d - 1) // 2), [d, d])
 
 
 def uniform_symmetric_state(d: int) -> QState:
     """Maximally mixed state on the symmetric subspace."""
-    split = build_split(d)
-    return QState(split.p_plus / split.dim_plus, [d, d])
+    return QState(projector(d, 1) / (d * (d + 1) // 2), [d, d])

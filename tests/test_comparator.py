@@ -35,8 +35,9 @@ from chancomp.qobj import (
 )
 from chancomp.symmetry import (
     _uniform_factor,
-    build_split,
+    eigenbasis,
     off_eigenspace,
+    projector,
     random_antisymmetric_state,
     random_symmetric_state,
     uniform_antisymmetric_state,
@@ -90,28 +91,26 @@ def factor_and_rebuild(strategy):
 
 def test_twirl_choi_structure():
     for d in (2, 3):
-        split = build_split(d)
+        p_plus, p_minus = projector(d, 1), projector(d, -1)
+        dim_plus, dim_minus = d * (d + 1) // 2, d * (d - 1) // 2
         omega = twirl_choi(d)
         assert abs(np.trace(omega.mat).real - d * d) <= 1e-10
-        expected = (
-            tensor(split.p_plus, split.p_plus) / split.dim_plus
-            + tensor(split.p_minus, split.p_minus) / split.dim_minus
-        )
+        expected = tensor(p_plus, p_plus) / dim_plus + tensor(p_minus, p_minus) / dim_minus
         assert max_abs(omega.mat - expected) <= 1e-12
         # support projector and rank d+^2 + d-^2
         rank = int(np.sum(np.linalg.eigvalsh(omega.mat) > 1e-10))
-        assert rank == split.dim_plus ** 2 + split.dim_minus ** 2
+        assert rank == dim_plus ** 2 + dim_minus ** 2
     with pytest.raises(ValueError):
         twirl_choi(1)
 
 
 def test_twirl_choi_support_projector_from_spectrum():
     d = 2
-    split = build_split(d)
+    p_plus, p_minus = projector(d, 1), projector(d, -1)
     omega = twirl_choi(d)
     vals, vecs = np.linalg.eigh(omega.mat)
     support = (vecs[:, vals > 1e-10]) @ (vecs[:, vals > 1e-10]).conj().T
-    direct = tensor(split.p_plus, split.p_plus) + tensor(split.p_minus, split.p_minus)
+    direct = tensor(p_plus, p_plus) + tensor(p_minus, p_minus)
     assert max_abs(support - direct) <= 1e-10
 
 
@@ -128,8 +127,8 @@ def test_twirl_choi_is_mean_of_identical_pairs():
 def test_identical_pair_choi_supported_inside_twirl_choi():
     rng = np.random.default_rng(41)
     for d in (2, 3):
-        split = build_split(d)
-        support = tensor(split.p_plus, split.p_plus) + tensor(split.p_minus, split.p_minus)
+        p_plus, p_minus = projector(d, 1), projector(d, -1)
+        support = tensor(p_plus, p_plus) + tensor(p_minus, p_minus)
         comp = np.eye(support.shape[0]) - support
         for _ in range(5):
             u = haar_sample(d, rng)
@@ -139,10 +138,9 @@ def test_identical_pair_choi_supported_inside_twirl_choi():
 
 def test_make_strategy_qubit_optimal():
     strategy = make_strategy("antisym_optimal", QState(SINGLET, [2, 2]))
-    split = build_split(2)
     elements = strategy.ppovm.elements
-    assert max_abs(elements["diff"] - tensor(SINGLET.T, split.p_plus)) <= 1e-12
-    assert max_abs(elements["inconclusive"] - tensor(SINGLET.T, split.p_minus)) <= 1e-12
+    assert max_abs(elements["diff"] - tensor(SINGLET.T, projector(2, 1))) <= 1e-12
+    assert max_abs(elements["inconclusive"] - tensor(SINGLET.T, projector(2, -1))) <= 1e-12
     assert set(elements) == {"diff", "inconclusive"}  # no 'same' element
 
 
@@ -172,10 +170,10 @@ def test_make_strategy_rejects_cross_block_leakage():
     # through its cross terms; the support test measures those too.
     rng = np.random.default_rng(69)
     for d in (2, 3, 4):
-        split = build_split(d)
+        bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
         for kind, basis, leak_basis, p_leak in (
-            ("antisym_optimal", split.basis_minus, split.basis_plus, split.p_plus),
-            ("symmetric", split.basis_plus, split.basis_minus, split.p_minus),
+            ("antisym_optimal", bm, bp, projector(d, 1)),
+            ("symmetric", bp, bm, projector(d, -1)),
         ):
             xi = leaking_state(basis, leak_basis, 5e-11, rng)
             assert max_abs(p_leak @ xi.mat @ p_leak) <= 1e-10
@@ -189,10 +187,10 @@ def test_support_residual_matches_basis_oracle():
     # leaking out of it through cross terms, and random full-rank states.
     rng = np.random.default_rng(71)
     for d in range(2, 7):
-        split = build_split(d)
+        bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
         for s, basis, leak_basis, sample in (
-            (-1, split.basis_minus, split.basis_plus, random_antisymmetric_state),
-            (1, split.basis_plus, split.basis_minus, random_symmetric_state),
+            (-1, bm, bp, random_antisymmetric_state),
+            (1, bp, bm, random_symmetric_state),
         ):
             g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
             full_rank = g @ g.conj().T
@@ -302,10 +300,9 @@ def test_run_pair_matches_dense_state_oracle():
     # sent through U (x) V densely, for pure, mixed, uniform and rank-2 xi.
     rng = np.random.default_rng(65)
     for d in (2, 3, 4, 5, 6, 8):
-        split = build_split(d)
         for kind, sampler, uniform, basis in (
-            ("antisym_optimal", random_antisymmetric_state, uniform_antisymmetric_state, split.basis_minus),
-            ("symmetric", random_symmetric_state, uniform_symmetric_state, split.basis_plus),
+            ("antisym_optimal", random_antisymmetric_state, uniform_antisymmetric_state, eigenbasis(d, -1)),
+            ("symmetric", random_symmetric_state, uniform_symmetric_state, eigenbasis(d, 1)),
         ):
             states = [sampler(d, "pure", rng), sampler(d, "mixed", rng), uniform(d)]
             if basis.shape[1] > 2:
@@ -325,14 +322,14 @@ def test_run_pair_matches_dense_state_oracle():
 def test_rank_factor_rebuilds_xi_with_its_rank():
     rng = np.random.default_rng(66)
     for d in (2, 3, 5, 6):
-        split = build_split(d)
+        dim_plus, dim_minus = d * (d + 1) // 2, d * (d - 1) // 2
         cases = [
             ("antisym_optimal", random_antisymmetric_state(d, "pure", rng), 1),
             ("symmetric", random_symmetric_state(d, "pure", rng), 1),
-            ("antisym_optimal", uniform_antisymmetric_state(d), split.dim_minus),
-            ("symmetric", uniform_symmetric_state(d), split.dim_plus),
-            ("symmetric", rank_two_state(split.basis_plus, rng), 2),
-            ("antisym_optimal", random_antisymmetric_state(d, "mixed", rng), split.dim_minus),
+            ("antisym_optimal", uniform_antisymmetric_state(d), dim_minus),
+            ("symmetric", uniform_symmetric_state(d), dim_plus),
+            ("symmetric", rank_two_state(eigenbasis(d, 1), rng), 2),
+            ("antisym_optimal", random_antisymmetric_state(d, "mixed", rng), dim_minus),
         ]
         for kind, xi, rank in cases:
             a, rebuilt = factor_and_rebuild(make_strategy(kind, xi))
@@ -342,12 +339,11 @@ def test_rank_factor_rebuilds_xi_with_its_rank():
 
 def test_qstate_strategies_and_samplers_read_no_split(monkeypatch):
     # The QState factor and the subspace samplers read the eigenbasis alone; with
-    # build_split refused they give bit for bit what they give on the cached split's bases.
+    # projector refused they give bit for bit what they give on the cached bases.
     refs = []
     for d in range(2, 7):
-        split = build_split(d)
-        for kind, sampler, basis in (("antisym_optimal", random_antisymmetric_state, split.basis_minus),
-                                     ("symmetric", random_symmetric_state, split.basis_plus)):
+        for kind, sampler, basis in (("antisym_optimal", random_antisymmetric_state, eigenbasis(d, -1)),
+                                     ("symmetric", random_symmetric_state, eigenbasis(d, 1))):
             for purity in ("pure", "mixed"):
                 seed = 100 * d + len(refs)
                 xi = QState(symmetry._subspace_state(basis, purity, np.random.default_rng(seed)), [d, d])
@@ -356,11 +352,11 @@ def test_qstate_strategies_and_samplers_read_no_split(monkeypatch):
                 factor = (basis @ (vecs[:, keep] * np.sqrt(vals[keep]))).T.reshape(-1, d, d)
                 refs.append((d, kind, sampler, purity, seed, xi, factor))
 
-    def refuse(d):
-        raise AssertionError(f"build_split({d}) called")
+    def refuse(d, s):
+        raise AssertionError(f"projector({d}, {s}) called")
 
-    monkeypatch.setattr(comparator, "build_split", refuse)
-    monkeypatch.setattr(symmetry, "build_split", refuse)
+    monkeypatch.setattr(comparator, "projector", refuse)
+    monkeypatch.setattr(symmetry, "projector", refuse)
     for d, kind, sampler, purity, seed, xi, factor in refs:
         assert np.array_equal(sampler(d, purity, np.random.default_rng(seed)).mat, xi.mat)
         assert np.array_equal(make_strategy(kind, xi)._factor, factor)
@@ -556,10 +552,9 @@ def test_verify_no_error_flags_wrong_pairing():
     # unambiguous: identical channels trigger it with certainty.
     rng = np.random.default_rng(51)
     xi = random_antisymmetric_state(3, "pure", rng)
-    split = build_split(3)
     elements = {
-        "diff": tensor(xi.mat.T, split.p_minus),
-        "inconclusive": tensor(xi.mat.T, split.p_plus),
+        "diff": tensor(xi.mat.T, projector(3, -1)),
+        "inconclusive": tensor(xi.mat.T, projector(3, 1)),
     }
     report = verify_no_error(Ppovm(elements, xi))
     assert report.twirl_residual > 0.5
@@ -624,11 +619,10 @@ def test_verify_no_error_bounds_per_draw_oracle():
 
 def test_verify_no_error_flags_same_element():
     xi = QState(SINGLET, [2, 2])
-    split = build_split(2)
     elements = {
-        "diff": tensor(xi.mat.T, split.p_plus),
-        "same": 0.5 * tensor(xi.mat.T, split.p_minus),
-        "inconclusive": 0.5 * tensor(xi.mat.T, split.p_minus),
+        "diff": tensor(xi.mat.T, projector(2, 1)),
+        "same": 0.5 * tensor(xi.mat.T, projector(2, -1)),
+        "inconclusive": 0.5 * tensor(xi.mat.T, projector(2, -1)),
     }
     report = verify_no_error(Ppovm(elements, xi))
     assert report.same_residual is not None and report.same_residual > 0.01
@@ -667,21 +661,18 @@ def test_max_psd_scale_monotone_case():
     assert abs(lam - 1.0) <= 1e-9
 
 
-def _cross_isometry(split):
-    return np.hstack(
-        [np.kron(split.basis_plus, split.basis_minus), np.kron(split.basis_minus, split.basis_plus)]
-    )
+def _cross_isometry(bp, bm):
+    return np.hstack([np.kron(bp, bm), np.kron(bm, bp)])
 
 
 def _redraw_inputs(d, rng, rho=None):
     """The rho and normalised Gram matrix random_unambiguous_ppovm draws from rng."""
-    split = build_split(d)
     dd = d * d
     if rho is None:
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         mat = g @ g.conj().T
         rho = QState(mat / np.trace(mat).real, [d, d])
-    m = 2 * split.dim_plus * split.dim_minus
+    m = 2 * (d * (d + 1) // 2) * (d * (d - 1) // 2)
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     gram = g @ g.conj().T
     return rho, gram / np.linalg.eigvalsh(gram)[-1]
@@ -690,15 +681,15 @@ def _redraw_inputs(d, rng, rho=None):
 def _check_against_full_space_oracle(d, draws, seed, rho=None):
     # Differential test: the bisection on the m-dim Schur complement against
     # the same bisection on the d^4-dim operator rho^T (x) I - s K.
-    split = build_split(d)
-    cross = _cross_isometry(split)
+    bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
+    cross = _cross_isometry(bp, bm)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
         ppovm = random_unambiguous_ppovm(d, rng, rho=rho)
         drawn_rho, gram = _redraw_inputs(d, twin, rho)
         k = cross @ gram @ cross.conj().T
         oracle = max_psd_scale(tensor(drawn_rho.mat.T, np.eye(d * d)), k)
-        lam = max_psd_scale(_cross_schur_complement(drawn_rho.mat.T, split), gram)
+        lam = max_psd_scale(_cross_schur_complement(drawn_rho.mat.T, bp, bm), gram)
         assert lam <= oracle
         assert oracle - lam <= 1e-8
         assert max_abs(ppovm.elements["diff"] - lam * k) <= 1e-12
@@ -729,17 +720,16 @@ def test_cross_schur_complement_matches_dense_shorted_operator():
     # C onto the cross subspace and Y onto its complement, built densely.
     rng = np.random.default_rng(64)
     for d in (2, 3):
-        split = build_split(d)
+        bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
         dd = d * d
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         rho_t = (g @ g.conj().T / np.trace(g @ g.conj().T).real).T
         b = tensor(rho_t, np.eye(dd))
-        c = _cross_isometry(split)
-        y = np.hstack([np.kron(split.basis_plus, split.basis_plus),
-                       np.kron(split.basis_minus, split.basis_minus)])
+        c = _cross_isometry(bp, bm)
+        y = np.hstack([np.kron(bp, bp), np.kron(bm, bm)])
         cb, yb = c.conj().T @ b, y.conj().T @ b
         dense = cb @ c - cb @ y @ np.linalg.pinv(yb @ y) @ yb @ c
-        assert max_abs(_cross_schur_complement(rho_t, split) - dense) <= 1e-12
+        assert max_abs(_cross_schur_complement(rho_t, bp, bm) - dense) <= 1e-12
 
 
 def test_uniqueness_probe_accepts_optimal():
@@ -775,11 +765,11 @@ def test_uniqueness_probe_rejects_leaking_reference_state():
     # subspace through cross terms while its symmetric block stays small.
     rng = np.random.default_rng(70)
     for d in (2, 3):
-        split = build_split(d)
-        rho = leaking_state(split.basis_minus, split.basis_plus, 1e-7, rng)
+        p_plus, p_minus = projector(d, 1), projector(d, -1)
+        rho = leaking_state(eigenbasis(d, -1), eigenbasis(d, 1), 1e-7, rng)
         rho_t = rho.mat.T
-        assert max_abs(split.p_plus @ rho_t @ split.p_plus) <= STRUCT_ATOL
-        ppovm = Ppovm({DIFF: tensor(rho_t, split.p_plus), INCONCLUSIVE: tensor(rho_t, split.p_minus)}, rho)
+        assert max_abs(p_plus @ rho_t @ p_plus) <= STRUCT_ATOL
+        ppovm = Ppovm({DIFF: tensor(rho_t, p_plus), INCONCLUSIVE: tensor(rho_t, p_minus)}, rho)
         probe = uniqueness_probe(ppovm)
         assert not probe.optimal_form
         assert probe.deviation > STRUCT_ATOL

@@ -19,7 +19,7 @@ from chancomp.linalg import (
     trace_product,
 )
 from chancomp.qobj import choi_of_unitary
-from chancomp.symmetry import build_split
+from chancomp.symmetry import projector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -135,9 +135,8 @@ def test_is_psd_matches_eigvalsh_oracle_at_the_atol_boundary(monkeypatch, n, blo
 
 def rank_deficient_psd_inputs():
     for d in range(2, 7):
-        split = build_split(d)
-        yield f"p_minus/d- d={d}", split.p_minus / split.dim_minus
-        yield f"p_plus/d+ d={d}", split.p_plus / split.dim_plus
+        yield f"p_minus/d- d={d}", projector(d, -1) / (d * (d - 1) // 2)
+        yield f"p_plus/d+ d={d}", projector(d, 1) / (d * (d + 1) // 2)
     rng = np.random.default_rng(21)
     for n in (4, 16, 81, 256):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -1,12 +1,17 @@
 """Tests for the swap/symmetric/antisymmetric machinery and subspace samplers."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chancomp.haar import haar_sample
+from chancomp.comparator import make_strategy
+from chancomp.haar import haar_sample, twirl_exact
 from chancomp.linalg import max_abs, tensor
 from chancomp.symmetry import (
-    build_split,
+    eigenbasis,
+    projector,
     random_antisymmetric_state,
     random_symmetric_state,
     uniform_antisymmetric_state,
@@ -45,33 +50,33 @@ def top_schmidt_sq(vec, d):
 
 
 def test_split_dimensions():
-    split = build_split(2)
-    assert abs(np.trace(split.p_plus).real - 3) <= 1e-12
-    assert abs(np.trace(split.p_minus).real - 1) <= 1e-12
-    assert abs(np.trace(build_split(3).p_minus).real - 3) <= 1e-12
+    assert abs(np.trace(projector(2, 1)).real - 3) <= 1e-12
+    assert abs(np.trace(projector(2, -1)).real - 1) <= 1e-12
+    assert abs(np.trace(projector(3, -1)).real - 3) <= 1e-12
     for d in (2, 3, 4, 5):
-        split = build_split(d)
-        assert split.dim_plus == d * (d + 1) // 2
-        assert split.dim_minus == d * (d - 1) // 2
-        assert abs(np.trace(split.p_plus).real - split.dim_plus) <= 1e-12
-        assert abs(np.trace(split.p_minus).real - split.dim_minus) <= 1e-12
+        dim_plus, dim_minus = d * (d + 1) // 2, d * (d - 1) // 2
+        assert eigenbasis(d, 1).shape == (d * d, dim_plus)
+        assert eigenbasis(d, -1).shape == (d * d, dim_minus)
+        assert abs(np.trace(projector(d, 1)).real - dim_plus) <= 1e-12
+        assert abs(np.trace(projector(d, -1)).real - dim_minus) <= 1e-12
 
 
 def test_qubit_antisymmetric_projector_is_singlet():
-    split = build_split(2)
     singlet_proj = np.outer(SINGLET_VEC, SINGLET_VEC.conj())
-    assert max_abs(split.p_minus - singlet_proj) <= 1e-12
+    assert max_abs(projector(2, -1) - singlet_proj) <= 1e-12
 
 
 def test_projector_algebra():
     for d in (2, 3, 4):
-        split, swap = build_split(d), swap_operator(d)
+        p_plus, p_minus, swap = projector(d, 1), projector(d, -1), swap_operator(d)
         eye = np.eye(d * d)
         assert max_abs(swap @ swap - eye) <= 1e-12
-        assert max_abs(split.p_plus - (eye + swap) / 2) <= 1e-12
-        assert max_abs(split.p_minus - (eye - swap) / 2) <= 1e-12
-        assert max_abs(split.p_plus + split.p_minus - eye) <= 1e-12
-        assert max_abs(split.p_plus @ split.p_minus) <= 1e-12
+        assert max_abs(p_plus - (eye + swap) / 2) <= 1e-12
+        assert max_abs(p_minus - (eye - swap) / 2) <= 1e-12
+        assert max_abs(p_plus + p_minus - eye) <= 1e-12
+        assert max_abs(p_plus @ p_minus) <= 1e-12
+        # every entry is 0, 1/2 or 1, so the fill is exact
+        assert np.array_equal(p_plus, (eye + swap) / 2) and np.array_equal(p_minus, (eye - swap) / 2)
 
 
 def test_swap_action_on_product_vectors():
@@ -86,8 +91,8 @@ def test_swap_action_on_product_vectors():
 
 def test_bases_orthonormal_and_reconstruct():
     for d in (2, 3, 4):
-        split = build_split(d)
-        for basis, proj in ((split.basis_plus, split.p_plus), (split.basis_minus, split.p_minus)):
+        for s in (1, -1):
+            basis, proj = eigenbasis(d, s), projector(d, s)
             gram = basis.conj().T @ basis
             assert max_abs(gram - np.eye(basis.shape[1])) <= 1e-10
             assert max_abs(basis @ basis.conj().T - proj) <= 1e-10
@@ -95,47 +100,73 @@ def test_bases_orthonormal_and_reconstruct():
 
 def test_bases_match_pair_vector_oracle_bitwise():
     for d in (2, 3, 4, 5, 6, 7, 8, 9, 17):
-        split = build_split(d)
         plus, minus = pair_vec_bases(d)
-        assert split.basis_plus.shape == plus.shape and split.basis_minus.shape == minus.shape
-        assert split.basis_plus.tobytes() == plus.tobytes()
-        assert split.basis_minus.tobytes() == minus.tobytes()
+        assert eigenbasis(d, 1).shape == plus.shape and eigenbasis(d, -1).shape == minus.shape
+        assert eigenbasis(d, 1).tobytes() == plus.tobytes()
+        assert eigenbasis(d, -1).tobytes() == minus.tobytes()
 
 
 def test_basis_minus_spans_kernel_of_p_plus():
     for d in (2, 3, 4):
-        split = build_split(d)
-        assert max_abs(split.p_plus @ split.basis_minus) <= 1e-12
+        assert max_abs(projector(d, 1) @ eigenbasis(d, -1)) <= 1e-12
         # dimension count closes the span argument
-        assert split.basis_minus.shape[1] == d * d - split.dim_plus
+        assert eigenbasis(d, -1).shape[1] == d * d - d * (d + 1) // 2
 
 
 def test_projectors_commute_with_collective_unitaries():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4):
-        split = build_split(d)
+        p_plus, p_minus = projector(d, 1), projector(d, -1)
         for _ in range(5):
             u = haar_sample(d, rng).mat
             uu = np.kron(u, u)
-            assert max_abs(split.p_plus @ uu - uu @ split.p_plus) <= 1e-10
-            assert max_abs(split.p_minus @ uu - uu @ split.p_minus) <= 1e-10
+            assert max_abs(p_plus @ uu - uu @ p_plus) <= 1e-10
+            assert max_abs(p_minus @ uu - uu @ p_minus) <= 1e-10
 
 
-def test_build_split_rejects_small_d():
-    with pytest.raises(ValueError):
-        build_split(1)
+def test_projector_and_eigenbasis_reject_small_d():
+    for d in (1, 0):
+        for s in (1, -1):
+            for build in (projector, eigenbasis):
+                with pytest.raises(ValueError, match=f"d >= 2, got {d}"):
+                    build(d, s)
 
 
-def test_build_split_is_built_once_per_d_and_read_only():
-    split = build_split(4)
-    assert build_split(4) is split
-    assert build_split(np.int64(4)) is split
-    assert build_split(3) is not split
-    for a in (split.p_plus, split.p_minus, split.basis_plus, split.basis_minus):
+def test_eigenbasis_is_cached_read_only_and_projector_fresh():
+    for s in (1, -1):
+        basis = eigenbasis(4, s)
+        assert eigenbasis(4, s) is basis
+        assert eigenbasis(np.int64(4), s) is basis
+        assert eigenbasis(3, s) is not basis and eigenbasis(4, -s) is not basis
         with pytest.raises(ValueError):
-            a[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        split.p_plus += 1.0
+            basis[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            basis += 1.0
+        p = projector(4, s)
+        q = projector(4, s)
+        assert p is not q and np.array_equal(p, q)
+        p[0, 0] = 2.0
+        p += 1.0
+        assert np.array_equal(projector(4, s), q)
+
+
+def test_dropped_strategy_and_twirl_hold_no_projector():
+    # Only the eigenbasis cache may outlive its readers.  At a d no other test
+    # uses, the cached B- is half of one d^2 x d^2 complex array; a projector
+    # left behind would be a whole one more.
+    d = 31
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(d))
+        twirled = twirl_exact(np.eye(d * d))
+        del strategy, twirled
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= (d * d) ** 2 * 16
 
 
 def test_antisymmetric_sampler_qubit_is_singlet():
@@ -149,14 +180,14 @@ def test_antisymmetric_sampler_qubit_is_singlet():
 def test_sampler_support():
     rng = np.random.default_rng(23)
     for d in (3, 4):
-        split = build_split(d)
+        p_plus, p_minus = projector(d, 1), projector(d, -1)
         for purity in ("pure", "mixed"):
             anti = random_antisymmetric_state(d, purity, rng)
-            assert max_abs(split.p_plus @ anti.mat @ split.p_plus) <= 1e-10
-            assert max_abs(anti.mat - split.p_minus @ anti.mat @ split.p_minus) <= 1e-10
+            assert max_abs(p_plus @ anti.mat @ p_plus) <= 1e-10
+            assert max_abs(anti.mat - p_minus @ anti.mat @ p_minus) <= 1e-10
             sym = random_symmetric_state(d, purity, rng)
-            assert max_abs(split.p_minus @ sym.mat @ split.p_minus) <= 1e-10
-            assert max_abs(sym.mat - split.p_plus @ sym.mat @ split.p_plus) <= 1e-10
+            assert max_abs(p_minus @ sym.mat @ p_minus) <= 1e-10
+            assert max_abs(sym.mat - p_plus @ sym.mat @ p_plus) <= 1e-10
 
 
 def test_antisymmetric_pure_states_are_entangled():
@@ -176,11 +207,10 @@ def test_antisymmetric_pure_states_are_entangled():
 def test_symmetric_product_state_and_rank():
     rng = np.random.default_rng(25)
     for d in (2, 3):
-        split = build_split(d)
         phi = rng.normal(size=d) + 1j * rng.normal(size=d)
         phi /= np.linalg.norm(phi)
         prod = np.kron(phi, phi)
-        assert max_abs(split.p_minus @ prod) <= 1e-12
+        assert max_abs(projector(d, -1) @ prod) <= 1e-12
 
     mixed = random_symmetric_state(2, "mixed", rng)
     rank = int(np.sum(np.linalg.eigvalsh(mixed.mat) > 1e-10))
@@ -189,11 +219,10 @@ def test_symmetric_product_state_and_rank():
 
 def test_uniform_subspace_states():
     for d in (2, 3):
-        split = build_split(d)
         anti = uniform_antisymmetric_state(d)
-        assert max_abs(anti.mat - split.p_minus / split.dim_minus) <= 1e-12
+        assert max_abs(anti.mat - projector(d, -1) / (d * (d - 1) // 2)) <= 1e-12
         sym = uniform_symmetric_state(d)
-        assert max_abs(sym.mat - split.p_plus / split.dim_plus) <= 1e-12
+        assert max_abs(sym.mat - projector(d, 1) / (d * (d + 1) // 2)) <= 1e-12
 
 
 def test_sampler_argument_validation():
