@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack, trace_product
+from .linalg import DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack
 from .qobj import UnitaryOp, _pair_output_vec
-from .symmetry import projector, qudit_dim
+from .symmetry import _identity_swap_sum, qudit_dim
 
 # Draws per stacked numpy expression in the Monte Carlo averages.  A chunk
 # holds a few (k, d^2, d^2) arrays, so larger chunks cost peak memory for
@@ -45,11 +45,15 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Draw a Haar-random d x d unitary."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    re, im = rng.normal(size=(2, d, d))
-    z = (re + 1j * im) / math.sqrt(2)
+    x = rng.normal(size=(2, d, d))
+    # Complex division by sqrt(2) multiplies by this reciprocal, so z has the
+    # bits of (re + 1j * im) / sqrt(2); a real division by sqrt(2) does not.
+    x *= 1 / math.sqrt(2)
+    z = np.empty((d, d), dtype=complex)
+    z.real, z.imag = x
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    diag = r.diagonal()
+    q *= diag / abs(diag)
     return UnitaryOp(q)
 
 
@@ -115,15 +119,18 @@ def average_channel_mc(x, n: int, rng: np.random.Generator) -> McEstimate:
 def twirl_exact(y) -> np.ndarray:
     """Haar average of (U (x) U) Y (U (x) U)^dagger in closed form.
 
-    The image is tr(Y P+)/d+ P+ + tr(Y P-)/d- P-; the expression is linear,
-    so it applies to arbitrary (not only selfadjoint) operators.
+    The image is w+ P+ + w- P- with w+- = tr(Y P+-)/d+-; the expression is
+    linear, so it applies to arbitrary (not only selfadjoint) operators.
+    With P+- = (I +- S) / 2, tr(Y P+-) = (tr Y +- tr(Y S)) / 2 and the image
+    is (w+ + w-)/2 I + (w+ - w-)/2 S, filled from the swap's index map
+    without forming a projector.
     """
     m = _square(y)
     d = qudit_dim(m.shape[0])
-    p_plus, p_minus = projector(d, 1), projector(d, -1)
-    w_plus = trace_product(m, p_plus) / (d * (d + 1) // 2)
-    w_minus = trace_product(m, p_minus) / (d * (d - 1) // 2)
-    return w_plus * p_plus + w_minus * p_minus
+    tr_y, tr_ys = np.trace(m), np.einsum("jkkj->", m.reshape(d, d, d, d))  # tr(Y S) = sum_jk <jk|Y|kj>
+    w_plus = (tr_y + tr_ys) / (d * (d + 1))
+    w_minus = (tr_y - tr_ys) / (d * (d - 1))
+    return _identity_swap_sum(d, (w_plus + w_minus) / 2, (w_plus - w_minus) / 2)
 
 
 def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:

@@ -90,9 +90,11 @@ class UnitaryOp:
     def __init__(self, mat):
         m = as_matrix(mat)
         n = m.shape[0]
-        if m.shape != (n, n):
-            raise DimensionMismatchError(f"unitary must be square, got {m.shape}")
-        if not (max_abs(m.conj().T @ m - np.eye(n)) <= ATOL):
+        if m.shape != (n, n) or n == 0:
+            raise DimensionMismatchError(f"unitary must be a non-empty square matrix, got {m.shape}")
+        gram = m.conj().T @ m
+        gram.ravel()[:: n + 1] -= 1  # gram - I, in place
+        if not (max_abs(gram) <= ATOL):
             raise ValueError("operator is not unitary within tolerance")
         self.mat = m
 

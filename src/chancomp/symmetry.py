@@ -57,19 +57,24 @@ def _fill_eigenbasis(rows: np.ndarray, d: int, sign: int) -> np.ndarray:
     return rows
 
 
+def _identity_swap_sum(d: int, a, b) -> np.ndarray:
+    """a I + b S as a fresh (d*d, d*d) complex array: a on the diagonal, plus b where the swap maps |jk> to |kj>."""
+    pair = np.arange(d * d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[pair, pair] = a
+    out[(pair % d) * d + pair // d, pair] += b
+    return out
+
+
 def projector(d: int, s: int) -> np.ndarray:
     """Projector (I + s S) / 2 onto the swap eigenspace of eigenvalue s = +-1, a fresh (d*d, d*d) array.
 
-    Filled from the swap's index map |jk> -> |kj>: 1/2 on the diagonal, s/2
-    where the swap maps |jk> to |kj> (so 1 or 0 where j = k), each entry exact.
+    Filled from the swap's index map: 1/2 on the diagonal, plus s/2 (so 1 or
+    0 where j = k), each entry exact.
     """
     if d < 2:
         raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
-    pair = np.arange(d * d)
-    p = np.zeros((d * d, d * d), dtype=complex)
-    p[pair, pair] = 0.5
-    p[(pair % d) * d + pair // d, pair] += s * 0.5
-    return p
+    return _identity_swap_sum(d, 0.5, s * 0.5)
 
 
 @functools.cache

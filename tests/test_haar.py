@@ -42,6 +42,21 @@ def test_haar_sample_d1_is_phase():
     assert len({round(np.angle(p), 6) for p in phases}) > 1
 
 
+def test_haar_sample_is_the_textbook_construction_bit_for_bit():
+    # Complex Ginibre matrix, QR, R-diagonal phase fix (Mezzadri, Notices AMS
+    # 54 (2007)), written plainly; the generator must also end where
+    # rng.normal(size=(2, d, d)) per draw leaves it, the stream _haar_chunks relies on.
+    for d in range(1, 7):
+        rng, ref = np.random.default_rng(40 + d), np.random.default_rng(40 + d)
+        for _ in range(200):
+            re, im = ref.normal(size=(2, d, d))
+            q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+            diag = np.diagonal(r)
+            expected = q * (diag / np.abs(diag))
+            assert haar_sample(d, rng).mat.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_trace_second_moment():
     # E |tr U|^2 = 1 on the unitary group; checked against the sampler's own
     # spread (the average-channel tests pin the distribution independently).

@@ -76,6 +76,21 @@ def test_unitary_validation():
     UnitaryOp(np.eye(3))
     with pytest.raises(ValueError):
         UnitaryOp(np.diag([1.0, 0.5]))
+    # An off-diagonal defect alone: U^dag U - I has 2e-10 (or 5e-11) off its diagonal
+    # and 4e-20 (or 2.5e-21) on it, so a check of the diagonal only accepts both.
+    UnitaryOp([[1, 5e-11], [0, 1]])
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryOp([[1, 2e-10], [0, 1]])
+    # inf * 0 in U^dag U raises numpy's "invalid" flag; the CLI builds gates from
+    # matrix files under this errstate, and the check must still reject them.
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+            UnitaryOp(m)
+    for shape in ((2, 3), (3, 2), (0, 0), (0, 2)):
+        with pytest.raises(DimensionMismatchError, match="non-empty square"):
+            UnitaryOp(np.zeros(shape))
 
 
 def choi_of_pair(u, v):
