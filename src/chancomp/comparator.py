@@ -17,7 +17,7 @@ import numpy as np
 # haar_sample stays importable from here: the perfbench tracer wraps it under this module too.
 from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
-from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability, ppovm_from_experiment
+from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability
 from .symmetry import eigenbasis, off_eigenspace, projector, qudit_dim
 
 DIFF = "diff"
@@ -47,23 +47,31 @@ class Strategy:
 
     kind picks the swap eigenspace that reads 'diff': P+ for 'antisym_optimal', P- for
     'symmetric'.  xi, on the other one of swap eigenvalue s, is a QState, checked by
-    (xi - s S xi) / 2 and factored once on that eigenspace, or its factor stack A (r, d, d),
+    (xi - s S xi) / 2 and factored on that eigenspace, or its factor stack A (r, d, d),
     xi = sum_k vec(A_k) vec(A_k)^dag, checked on itself: finite, sum_k ||A_k||_F^2 = 1 and
-    (A_k - s A_k^T) / 2 = 0 within ATOL.  xi, effects and ppovm are dense views.
+    (A_k - s A_k^T) / 2 = 0 within ATOL.  Only the factor is kept.  The dense process POVM,
+    for general-PPOVM code and tests, is built from xi by ppovm_from_experiment with the
+    effects {'diff': projector(d, -s), 'inconclusive': projector(d, s)}.
     """
 
     kind: str
     # A as given, or xi's eigenvectors scaled by root eigenvalues; a view of one (d, r, d) array
     _factor: np.ndarray = field(repr=False)
-    _state: QState | None = field(repr=False)  # xi as given, if given densely
 
     def __init__(self, xi: QState | np.ndarray, kind: str):
         if kind not in _DIFF_SWAP_SIGN:
             raise ValueError(f"unknown strategy kind {kind!r}")
         sign = _DIFF_SWAP_SIGN[kind]
-        state = xi if isinstance(xi, QState) else None
-        if state is not None:
-            leak = off_eigenspace(state.mat, -sign)
+        if isinstance(xi, QState):
+            leak = off_eigenspace(xi.mat, -sign)
+            d = qudit_dim(xi.dim)
+            support = eigenbasis(d, -sign)
+            # xi on the eigenspace's block; keep the r eigenvalues above ATOL
+            vals, vecs = np.linalg.eigh(support.conj().T @ xi.mat @ support)
+            keep = vals > ATOL
+            a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))  # (d*d, r): A_k is column k
+            # r is 0 for an xi wholly off the eigenspace, which the support check rejects below
+            a = np.ascontiguousarray(a.reshape(d, d, a.shape[1]).transpose(0, 2, 1)).swapaxes(0, 1)
         else:
             a = np.asarray(xi, dtype=complex)
             if a.ndim != 3 or len(a) < 1 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
@@ -79,16 +87,8 @@ class Strategy:
         if not (leak <= ATOL):  # identical boxes must never fire 'diff'
             raise ValueError(f"test state has support outside the {kind} subspace "
                              f"(largest entry off it {leak:.1e} > {ATOL:.0e})")
-        if state is not None:
-            d = qudit_dim(state.dim)
-            support = eigenbasis(d, -sign)
-            # xi on the block just checked to hold it; keep the r eigenvalues above ATOL
-            vals, vecs = np.linalg.eigh(support.conj().T @ state.mat @ support)
-            keep = vals > ATOL
-            a = support @ (vecs[:, keep] * np.sqrt(vals[keep]))  # (d*d, r): A_k is column k
-            a = np.ascontiguousarray(a.reshape(d, d, -1).transpose(0, 2, 1)).swapaxes(0, 1)
-        for name, value in (("kind", kind), ("_factor", a), ("_state", state)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_factor", a)
 
     @property
     def d(self) -> int:
@@ -97,19 +97,6 @@ class Strategy:
     @property
     def _sign(self) -> int:
         return _DIFF_SWAP_SIGN[self.kind]
-
-    @property
-    def xi(self) -> QState:
-        vecs = self._factor.reshape(len(self._factor), -1)
-        return self._state or QState(vecs.T @ vecs.conj(), [self.d, self.d])
-
-    @property
-    def effects(self) -> dict[str, np.ndarray]:
-        return {DIFF: projector(self.d, self._sign), INCONCLUSIVE: projector(self.d, -self._sign)}
-
-    @property
-    def ppovm(self) -> Ppovm:
-        return ppovm_from_experiment(self.xi, self.effects)
 
 
 @dataclass(frozen=True)
@@ -169,7 +156,8 @@ def make_strategy(kind: str, xi: QState | np.ndarray) -> Strategy:
     """Build a named comparison strategy around xi, a QState or its factor stack: Strategy(xi, kind).
 
     'antisym_optimal' takes an antisymmetric xi and reads 'diff' on P+;
-    'symmetric' swaps the roles.  Raises ValueError for an unknown kind, a
+    'symmetric' swaps the roles.  Only xi's factor is kept: a QState is
+    factored once, here.  Raises ValueError for an unknown kind, a
     factor that is not finite or not of unit trace, or an xi with support
     outside the matching subspace.
     """

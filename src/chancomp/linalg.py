@@ -14,8 +14,8 @@ import numpy as np
 # The tolerance ladder.  Every absolute-error check in the package compares
 # against one of these rungs in a NaN-safe form, `not (err <= TOL)`, so a NaN
 # error fails the check.  Double precision leaves ample headroom for the
-# matrix sizes handled here (up to 4096 dims: witness's d^2 x d^2 Choi operator
-# under the CLI's 256 MiB array cap).
+# matrix sizes handled here (up to 4096 dims: a d^2 x d^2 operator under the
+# CLI's 256 MiB array cap).
 ATOL = 1e-10  # one identity: Hermiticity, unitarity, unit trace, PSD, support, probability range
 SUM_ATOL = 1e-9  # sums of elements: POVM/PPOVM normalisation, success vs the (d+1)/(2d) bound
 CHOI_TRACE_ATOL = 1e-8  # trace of a Choi operator, which grows with the dimension
@@ -75,10 +75,10 @@ def is_hermitian(a) -> bool:
     return max_abs(diff) <= ATOL
 
 
-# Order of the diagonal blocks in _cholesky_in_place, and the largest order
-# is_psd factors by one np.linalg.cholesky call.  That call copies its input
-# to a work buffer and returns a new factor, so on the whole matrix it would
-# hold three n x n arrays; by blocks it holds O(n b).
+# Order of the diagonal blocks in _cholesky_in_place; an order up to it is one
+# block.  np.linalg.cholesky copies its input to a work buffer and returns a
+# new factor, so on the whole matrix it would hold three n x n arrays; by
+# blocks it holds O(n b).
 _CHOLESKY_BLOCK = 256
 
 
@@ -107,7 +107,7 @@ def is_psd(a) -> bool:
 
     That is lambda_min(A) > -ATOL up to rounding of order n*eps*||A|| (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).
-    Above order _CHOLESKY_BLOCK the factor overwrites the one shifted copy of A.
+    The factor overwrites the one shifted copy of A, block by block.
     """
     m = as_matrix(a)
     if not is_hermitian(m):  # so is every input with an entry that is not finite: it meets NaN or inf - inf
@@ -116,7 +116,7 @@ def is_psd(a) -> bool:
     shifted = m.copy()
     shifted.ravel()[:: n + 1] += ATOL
     try:
-        factor = np.linalg.cholesky(shifted) if n <= _CHOLESKY_BLOCK else _cholesky_in_place(shifted)
+        factor = _cholesky_in_place(shifted)
     except np.linalg.LinAlgError:
         return False
     return math.isfinite(factor.trace().real)  # a LAPACK may return a NaN factor where it should raise

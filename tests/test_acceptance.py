@@ -25,6 +25,7 @@ from chancomp.haar import average_channel_exact, average_channel_mc, haar_sample
 from chancomp.linalg import max_abs, trace_product
 from chancomp.qobj import QState, UnitaryOp, choi_of_unitary, outcome_probability, ppovm_from_experiment
 from chancomp.symmetry import random_antisymmetric_state, random_symmetric_state
+from dense_oracle import dense_ppovm
 
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 P_MINUS_2 = np.outer(SINGLET_VEC, SINGLET_VEC.conj())
@@ -82,9 +83,10 @@ def test_criterion_3_no_error_conditions():
     rng = np.random.default_rng(300)
     with criterion(3, "no-error conditions on identical channels and the twirl Choi"):
         for d in (2, 3, 4):
-            strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
-            omega_t = twirl_choi(d)
-            assert abs(trace_product(omega_t.mat, strategy.ppovm.elements["diff"]).real) <= 1e-10
+            xi = random_antisymmetric_state(d, "mixed", rng)
+            strategy = make_strategy("antisym_optimal", xi)
+            m_diff = dense_ppovm(xi, "antisym_optimal").elements["diff"]
+            assert abs(trace_product(twirl_choi(d).mat, m_diff).real) <= 1e-10
             for _ in range(100):
                 u = haar_sample(d, rng)
                 assert run_pair(strategy, u, u).p_diff <= 1e-10
@@ -108,16 +110,15 @@ def test_criterion_5_uniqueness_structure():
         for d in (2, 3):
             for purity in ("pure", "mixed"):
                 for _ in range(5):
-                    strategy = make_strategy(
-                        "antisym_optimal", random_antisymmetric_state(d, purity, rng)
-                    )
+                    xi = random_antisymmetric_state(d, purity, rng)
+                    strategy = make_strategy("antisym_optimal", xi)
                     assert abs(average_success(strategy) - success_bound(d)) <= 1e-9
-                    probe = uniqueness_probe(strategy.ppovm)
+                    probe = uniqueness_probe(dense_ppovm(xi, "antisym_optimal"))
                     assert probe.optimal_form
                     assert probe.deviation <= 1e-6
 
-            symmetric = make_strategy("symmetric", random_symmetric_state(d, "mixed", rng))
-            assert not uniqueness_probe(symmetric.ppovm).optimal_form
+            symmetric = dense_ppovm(random_symmetric_state(d, "mixed", rng), "symmetric")
+            assert not uniqueness_probe(symmetric).optimal_form
 
             for _ in range(20):
                 ppovm = random_unambiguous_ppovm(d, rng)

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 import chancomp
-from chancomp import cli, haar
+from chancomp import cli, haar, qobj
 from chancomp.cli import main, resolve_gate
-from chancomp.comparator import ComparisonReport
+from chancomp.comparator import ComparisonReport, sequential_witness
 from chancomp.haar import _twirl_battery_mc, haar_sample
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import UnitaryOp, choi_of_unitary
@@ -385,6 +385,29 @@ def test_witness(tmp_path):
     assert payload["choi_residual"] <= 1e-10
 
     assert main(["witness", "--d", "2", "--w", "hadamard", "--r", "identity"]) == 2
+
+
+def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):
+    # Both Choi operators are rank one and PSD by construction; the residual reads their vectors.
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness validated a dense operator")
+
+    monkeypatch.setattr(qobj.ChoiOp, "__init__", refuse)
+    monkeypatch.setattr(qobj, "is_psd", refuse)
+    rc, payload = run_json(tmp_path, ["witness", "--d", "3", "--w", "fourier-d", "--r", "fourier-d"])
+    assert rc == 0
+    assert payload["choi_residual"] <= 1e-10
+
+
+def test_witness_choi_residual_matches_dense_choi_oracle(tmp_path):
+    # Bit for bit the residual of the two validated Choi operators.
+    for d in (2, 3, 16):
+        rc, payload = run_json(tmp_path, ["witness", "--d", str(d), "--w", "fourier-d", "--r", "fourier-d"])
+        assert rc == 0
+        w = resolve_gate("fourier-d", d)
+        u, v = sequential_witness(w, w)
+        uv, ww = UnitaryOp(u.mat @ v.mat), UnitaryOp(w.mat @ w.mat)
+        assert payload["choi_residual"] == max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat)
 
 
 def test_console_entry_point():

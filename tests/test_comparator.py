@@ -43,6 +43,7 @@ from chancomp.symmetry import (
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
+from dense_oracle import dense_ppovm, swap_effects
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -137,8 +138,9 @@ def test_identical_pair_choi_supported_inside_twirl_choi():
 
 
 def test_make_strategy_qubit_optimal():
-    strategy = make_strategy("antisym_optimal", QState(SINGLET, [2, 2]))
-    elements = strategy.ppovm.elements
+    xi = QState(SINGLET, [2, 2])
+    assert max_abs(factor_and_rebuild(make_strategy("antisym_optimal", xi))[1] - SINGLET) <= 1e-12
+    elements = dense_ppovm(xi, "antisym_optimal").elements
     assert max_abs(elements["diff"] - tensor(SINGLET.T, projector(2, 1))) <= 1e-12
     assert max_abs(elements["inconclusive"] - tensor(SINGLET.T, projector(2, -1))) <= 1e-12
     assert set(elements) == {"diff", "inconclusive"}  # no 'same' element
@@ -238,9 +240,9 @@ def test_inconclusive_element_is_psd():
     # The complement rho^T (x) I - M_diff of the optimal strategy stays PSD.
     rng = np.random.default_rng(41)
     for d in (2, 3):
-        strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
-        elements = strategy.ppovm.elements
-        complement = tensor(strategy.xi.mat.T, np.eye(d * d)) - elements["diff"]
+        xi = random_antisymmetric_state(d, "mixed", rng)
+        elements = dense_ppovm(xi, "antisym_optimal").elements
+        complement = tensor(xi.mat.T, np.eye(d * d)) - elements["diff"]
         assert np.linalg.eigvalsh(complement)[0] >= -1e-9
         assert max_abs(complement - elements["inconclusive"]) <= 1e-12
 
@@ -270,20 +272,20 @@ def test_run_pair_closed_form_general_pairs():
         report = run_pair(strategy, u, v)
         closed_form = 1.0 - abs(np.trace(u.mat.conj().T @ v.mat)) ** 2 / 4
         assert abs(report.p_diff - closed_form) <= 1e-10
-        expected = dense_probability(strategy.xi.mat, strategy.effects[DIFF], u.mat, v.mat)
+        expected = dense_probability(SINGLET, swap_effects(2, "antisym_optimal")[DIFF], u.mat, v.mat)
         assert abs(report.p_diff - expected) <= 1e-10
 
 
 def test_run_pair_matches_explicit_choi_trace():
     # Differential test: the factorised probabilities against the dense
-    # process-POVM elements built by strategy.ppovm.
+    # process-POVM elements built from the same xi.
     rng = np.random.default_rng(45)
     for d in (2, 3, 4):
         for kind, sampler in (("antisym_optimal", random_antisymmetric_state),
                               ("symmetric", random_symmetric_state)):
             for purity in ("pure", "mixed"):
-                strategy = make_strategy(kind, sampler(d, purity, rng))
-                elements = strategy.ppovm.elements
+                xi = sampler(d, purity, rng)
+                strategy, elements = make_strategy(kind, xi), dense_ppovm(xi, kind).elements
                 assert abs(average_success(strategy)
                            - np.trace(elements["diff"]).real / (d * d)) <= 1e-12
                 for _ in range(3):
@@ -315,7 +317,7 @@ def test_run_pair_matches_dense_state_oracle():
                         report = run_pair(strategy, *pair)
                         mats = [g.mat for g in pair]
                         for p, label in ((report.p_diff, DIFF), (report.p_inconclusive, INCONCLUSIVE)):
-                            expected = dense_probability(xi.mat, strategy.effects[label], *mats)
+                            expected = dense_probability(xi.mat, swap_effects(d, kind)[label], *mats)
                             assert abs(p - expected) <= 1e-12
 
 
@@ -374,7 +376,7 @@ def haar_stacks(d, n, rng):
 
 def test_factor_and_state_strategies_agree():
     # On states of the eigenspace the factor's leak equals off_eigenspace of
-    # the dense view, and a strategy built from a factor gives the
+    # the xi it rebuilds, and a strategy built from a factor gives the
     # probabilities of the one built from the QState.  The factor differs
     # from the QState path's: the closed form for the uniform states, an
     # ancilla rotation A'_k = sum_j W_kj A_j of the eigh factor otherwise.
@@ -393,9 +395,9 @@ def test_factor_and_state_strategies_agree():
             u, v = haar_stacks(d, 4, rng)
             for xi, a in cases:
                 from_state, from_factor = make_strategy(kind, xi), Strategy(a, kind)
-                assert from_state.xi is xi  # a dense view only when given the factor
-                assert abs(factor_leak(a, kind) - off_eigenspace(from_factor.xi.mat, s)) <= 1e-14
-                assert max_abs(from_factor.xi.mat - xi.mat) <= 1e-14
+                rebuilt = factor_and_rebuild(from_factor)[1]
+                assert abs(factor_leak(a, kind) - off_eigenspace(rebuilt, s)) <= 1e-14
+                assert max_abs(rebuilt - xi.mat) <= 1e-14
                 got, want = (comparator._probabilities(st, u, v, (DIFF, INCONCLUSIVE)) for st in (from_factor, from_state))
                 assert max_abs(got - want) <= 1e-14
 
@@ -540,8 +542,7 @@ def test_overall_success():
 def test_verify_no_error_on_sound_strategies():
     rng = np.random.default_rng(50)
     for d in (2, 3):
-        strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng))
-        report = verify_no_error(strategy.ppovm)
+        report = verify_no_error(dense_ppovm(random_antisymmetric_state(d, "mixed", rng), "antisym_optimal"))
         assert report.max_residual <= 1e-10
         assert report.identical_pair_bound <= 1e-10
         assert report.same_residual is None
@@ -578,7 +579,7 @@ def test_verify_no_error_reports_elements_psd_within_tolerance():
     eps = 0.9e-10
     rng = np.random.default_rng(56)
     for d in (2, 3):
-        sound = make_strategy("antisym_optimal", random_antisymmetric_state(d, "mixed", rng)).ppovm
+        sound = dense_ppovm(random_antisymmetric_state(d, "mixed", rng), "antisym_optimal")
         shift = eps * np.eye(d**4)
         ppovm = Ppovm({DIFF: sound.elements[DIFF] - shift,
                        INCONCLUSIVE: sound.elements[INCONCLUSIVE] + shift}, sound.rho)
@@ -736,16 +737,14 @@ def test_uniqueness_probe_accepts_optimal():
     rng = np.random.default_rng(55)
     for d in (2, 3):
         for purity in ("pure", "mixed"):
-            strategy = make_strategy("antisym_optimal", random_antisymmetric_state(d, purity, rng))
-            probe = uniqueness_probe(strategy.ppovm)
+            probe = uniqueness_probe(dense_ppovm(random_antisymmetric_state(d, purity, rng), "antisym_optimal"))
             assert probe.optimal_form
             assert probe.deviation <= 1e-9
 
 
 def test_uniqueness_probe_rejects_symmetric_and_random():
     rng = np.random.default_rng(56)
-    symmetric = make_strategy("symmetric", random_symmetric_state(3, "mixed", rng))
-    probe = uniqueness_probe(symmetric.ppovm)
+    probe = uniqueness_probe(dense_ppovm(random_symmetric_state(3, "mixed", rng), "symmetric"))
     assert not probe.optimal_form
     assert probe.deviation > 1e-3
 

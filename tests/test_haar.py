@@ -17,6 +17,7 @@ from chancomp.haar import (
 )
 from chancomp.linalg import DimensionMismatchError, max_abs
 from chancomp.symmetry import uniform_antisymmetric_state
+from dense_oracle import swap_effects
 
 
 def swap_by_hand(d):
@@ -125,8 +126,9 @@ def test_std_error_matches_numpy_ddof1_at_small_n():
     # The draws are recomputed from an identically seeded generator; the
     # streamed estimator must agree with numpy's two-pass ddof=1 spread.
     ket0 = np.diag([1.0, 0.0]).astype(complex)
-    strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(2))
-    xi, f_diff = strategy.xi.mat, strategy.effects["diff"]
+    state = uniform_antisymmetric_state(2)
+    strategy = make_strategy("antisym_optimal", state)
+    xi, f_diff = state.mat, swap_effects(2, "antisym_optimal")["diff"]
 
     def channel_draw(rng):
         u = haar_sample(2, rng).mat
@@ -156,8 +158,9 @@ def test_estimators_match_per_draw_values_across_chunk_boundaries():
     ket01[0, 1] = 1.0
     y = np.zeros((4, 4), dtype=complex)
     y[1, 1] = y[1, 2] = 1.0
-    strategy = make_strategy("antisym_optimal", uniform_antisymmetric_state(2))
-    xi, f_diff = strategy.xi.mat, strategy.effects["diff"]
+    state = uniform_antisymmetric_state(2)
+    strategy = make_strategy("antisym_optimal", state)
+    xi, f_diff = state.mat, swap_effects(2, "antisym_optimal")["diff"]
 
     def channel_draw(rng):
         u = haar_sample(2, rng).mat

@@ -113,8 +113,8 @@ def hermitian_with_spectrum(rng, vals):
     return (m + m.conj().T) / 2
 
 
-# 16 sends every n above it through the blocked path; the default sends
-# n <= 256 to one np.linalg.cholesky call.
+# 16 splits every n above it into blocks; the default factors n <= 256 as
+# one block.
 BLOCKS = (16, linalg._CHOLESKY_BLOCK)
 
 
