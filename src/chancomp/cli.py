@@ -38,7 +38,7 @@ from .comparator import (
     success_bound,
     twirl_choi,
 )
-from .haar import _twirl_battery_mc, twirl_exact
+from .haar import _twirl_choi_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, _pair_output_vec
 from .symmetry import _uniform_factor, projector
@@ -224,11 +224,12 @@ def cmd_twirl_verify(args) -> int:
         "ket01_bra10": basis_op(1, d),
         "random_hermitian": herm,
     }
-    # One set of n draws serves every battery operator and the Choi-side
-    # cross-check, the average of identical-pair Choi operators.
-    estimate, pair_choi = _twirl_battery_mc(np.stack(list(battery.values())), args.n, rng)
+    # One estimate, the twirl's Choi operator C = E |w><w| with w = vec(K^T), K = U (x) U,
+    # gives every battery twirl by the Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb).
+    pair_choi = _twirl_choi_mc(d, args.n, rng)
+    means = np.tensordot(np.stack(list(battery.values())), pair_choi.reshape(dd, dd, dd, dd), axes=([1, 2], [0, 2]))
     rows = []
-    for (name, op), mean in zip(battery.items(), estimate.mean):
+    for (name, op), mean in zip(battery.items(), means):
         dev = max_abs(mean - twirl_exact(op))
         rows.append({"check": f"mc_vs_exact[{name}]", "residual": float(dev)})
     dev = max_abs(pair_choi - twirl_choi(d).mat)
@@ -255,9 +256,11 @@ def cmd_witness(args) -> int:
     w_sq = UnitaryOp(w.mat @ w.mat)
     uv = UnitaryOp(u.mat @ v.mat)
     product_residual = float(max_abs(uv.mat - w_sq.mat))
-    # The Choi operators |x><x| and |y><y| of the two composites, unchecked: rank one and PSD by construction.
+    # The Choi operators |x><x| and |y><y| of the two composites, unchecked: rank one and PSD by
+    # construction.  Compared d rows at a time, so no d^2 x d^2 array is held.
     x, y = _pair_output_vec(uv.mat), _pair_output_vec(w_sq.mat)
-    choi_residual = max_abs(np.outer(x, x.conj()) - np.outer(y, y.conj()))
+    xc, yc = x.conj(), y.conj()
+    choi_residual = max(max_abs(np.outer(x[i:i + d], xc) - np.outer(y[i:i + d], yc)) for i in range(0, d * d, d))
     payload = {
         "meta": _meta(args, d=d, w=args.w, r=args.r),
         "u": matrix_to_json(u.mat),

@@ -4,9 +4,8 @@ Sampling uses the QR decomposition of a complex Ginibre matrix with the
 R-diagonal phase correction, which is exactly Haar distributed.  All samplers
 take an explicit numpy Generator.  Every Monte Carlo average draws its
 unitaries through _haar_chunks, the one place that decides the chunk size
-and the stream order.  One set of draws can serve several averages: the CLI's twirl check
-evaluates its whole operator battery and the identical-pair Choi mean on
-the same n unitaries.
+and the stream order.  The CLI's twirl check estimates one object, the
+twirl's Choi operator, and reads the twirl of every operator off it.
 """
 
 from __future__ import annotations
@@ -140,24 +139,14 @@ def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:
     return _mc_mean(_conjugate_stack(kron_stack(u, u), m) for (u,) in _haar_chunks(d, n, rng))
 
 
-def _twirl_battery_mc(ys: np.ndarray, n: int, rng: np.random.Generator) -> tuple[McEstimate, np.ndarray]:
-    """Two-copy twirls of a stack of operators and the identical-pair Choi mean, on one set of n draws.
+def _twirl_choi_mc(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte Carlo estimate of the twirl's Choi operator, the mean of |w><w| over identical pairs (U, U).
 
-    Returns the estimate for the (m, d^2, d^2) stack ys (row j matches
-    twirl_mc(ys[j], n, rng) from the same generator state) and the mean of
-    the Choi operators |w><w| of (U, U), mean only: row k of W holds the
-    pair-output vector of one draw, so each chunk adds its Gram matrix
-    W^T conj(W).  Memory is O(chunk), whatever n.
+    Row k of W holds the pair-output vector of one draw, so each chunk adds
+    its Gram matrix W^T conj(W).  Memory is O(chunk), whatever n.
     """
-    d = qudit_dim(ys.shape[-1])
-    choi_sum = np.zeros((d**4, d**4), dtype=complex)
-
-    def chunks():
-        for (u,) in _haar_chunks(d, n, rng):
-            k = kron_stack(u, u)
-            w = _pair_output_vec(k)
-            choi_sum[...] += w.T @ w.conj()
-            yield _conjugate_stack(k[:, None], ys)
-
-    estimate = _mc_mean(chunks())  # runs the draws, filling choi_sum
-    return estimate, choi_sum / n
+    total = np.zeros((d**4, d**4), dtype=complex)
+    for (u,) in _haar_chunks(d, n, rng):
+        w = _pair_output_vec(kron_stack(u, u))
+        total += w.T @ w.conj()
+    return total / n

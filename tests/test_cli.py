@@ -13,7 +13,7 @@ import chancomp
 from chancomp import cli, haar, qobj
 from chancomp.cli import main, resolve_gate
 from chancomp.comparator import ComparisonReport, sequential_witness
-from chancomp.haar import _twirl_battery_mc, haar_sample
+from chancomp.haar import _twirl_choi_mc, haar_sample, twirl_exact, twirl_mc
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import UnitaryOp, choi_of_unitary
 
@@ -358,13 +358,41 @@ def test_twirl_verify_draws_n_unitaries(tmp_path, monkeypatch):
         assert calls == [d] * n
 
 
-def test_pair_choi_mean_matches_per_draw_outer_products():
-    # The Choi-side mean of the one-pass helper against the per-draw |w><w|
-    # sum on the same draws, with n on both sides of chunk boundaries.
+def test_twirl_verify_reads_every_row_off_the_pair_choi_estimate(tmp_path, monkeypatch):
+    # The battery twirls come from the one Choi estimate, with no per-draw
+    # conjugation and no streamed estimator, and each row is the residual of
+    # twirl_mc on the same draws (the generator state after the herm draw).
+    def after_herm(d):
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        return rng, (h + h.conj().T) / 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("twirl-verify ran a second Monte Carlo path")
+
     for d in (2, 3):
-        battery = np.eye(d * d, dtype=complex)[None]
+        ops = {"identity": np.eye(d * d, dtype=complex), "random_hermitian": after_herm(d)[1]}
+        for name, (row, col) in (("ket01_proj", (1, 1)), ("ket01_bra10", (1, d))):
+            ops[name] = np.zeros((d * d, d * d), dtype=complex)
+            ops[name][row, col] = 1.0
+        want = {name: max_abs(twirl_mc(y, 130, after_herm(d)[0]).mean - twirl_exact(y)) for name, y in ops.items()}
+        with monkeypatch.context() as patched:
+            patched.setattr(haar, "_conjugate_stack", refuse)
+            patched.setattr(haar, "_mc_mean", refuse)
+            rc, payload = run_json(tmp_path, ["twirl-verify", "--d", str(d), "--n", "130", "--seed", "5"])
+        assert rc == 0
+        assert len(payload["rows"]) == 10
+        residuals = {row["check"]: row["residual"] for row in payload["rows"]}
+        for name, value in want.items():
+            assert abs(residuals[f"mc_vs_exact[{name}]"] - value) <= 1e-12, name
+
+
+def test_pair_choi_mean_matches_per_draw_outer_products():
+    # The chunked Gram sum against the per-draw |w><w| sum on the same
+    # draws, with n on both sides of chunk boundaries.
+    for d in (2, 3):
         for n in (63, 64, 65, 130):
-            _, got = _twirl_battery_mc(battery, n, np.random.default_rng(60 + d))
+            got = _twirl_choi_mc(d, n, np.random.default_rng(60 + d))
             rng = np.random.default_rng(60 + d)
             total = np.zeros((d**4, d**4), dtype=complex)
             for _ in range(n):
@@ -387,6 +415,20 @@ def test_witness(tmp_path):
     assert main(["witness", "--d", "2", "--w", "hadamard", "--r", "identity"]) == 2
 
 
+def test_witness_builds_no_d2_by_d2_array():
+    # Peak traced allocation of witness at d=32 stays below one d^2 x d^2
+    # complex array (16 MiB); the warm-up call builds the parser first.
+    argv = ["witness", "--w", "fourier-d", "--r", "fourier-d", "--out", os.devnull, "--d"]
+    assert main(argv + ["2"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["32"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32**4 * 16
+
+
 def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):
     # Both Choi operators are rank one and PSD by construction; the residual reads their vectors.
     def refuse(*args, **kwargs):
@@ -400,12 +442,22 @@ def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):
 
 
 def test_witness_choi_residual_matches_dense_choi_oracle(tmp_path):
-    # Bit for bit the residual of the two validated Choi operators.
-    for d in (2, 3, 16):
-        rc, payload = run_json(tmp_path, ["witness", "--d", str(d), "--w", "fourier-d", "--r", "fourier-d"])
+    # Bit for bit the residual of the two validated Choi operators, for the
+    # Fourier gate and for random gates, whose largest entry can lie in any row block.
+    rng = np.random.default_rng(12)
+    specs = [(d, "fourier-d", "fourier-d") for d in (2, 3, 16)]
+    for k in range(6):
+        d, paths = 2 + k % 2, []
+        for name in "wr":
+            path = tmp_path / f"{name}{k}.json"
+            path.write_text(json.dumps(matrix_to_json(haar_sample(d, rng).mat)))
+            paths.append(f"@{path}")
+        specs.append((d, *paths))
+    for d, w_spec, r_spec in specs:
+        rc, payload = run_json(tmp_path, ["witness", "--d", str(d), "--w", w_spec, "--r", r_spec])
         assert rc == 0
-        w = resolve_gate("fourier-d", d)
-        u, v = sequential_witness(w, w)
+        w = resolve_gate(w_spec, d)
+        u, v = sequential_witness(w, resolve_gate(r_spec, d))
         uv, ww = UnitaryOp(u.mat @ v.mat), UnitaryOp(w.mat @ w.mat)
         assert payload["choi_residual"] == max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat)
 

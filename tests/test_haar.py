@@ -8,7 +8,7 @@ from chancomp.haar import (
     McEstimate,
     _haar_chunks,
     _mc_mean,
-    _twirl_battery_mc,
+    _twirl_choi_mc,
     average_channel_exact,
     average_channel_mc,
     haar_sample,
@@ -266,22 +266,19 @@ def test_twirl_mc_converges_to_exact():
 
 
 def test_twirl_battery_rows_match_twirl_mc_on_the_same_seed():
-    # Each row of the one-pass battery is the single-operator estimate from
-    # the same generator state, mean and standard error alike.
+    # The Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb) on the pair-Choi
+    # estimate gives each operator's single-operator mean from the same
+    # generator state.
     for d, n in ((2, 65), (3, 130)):
         dd = d * d
         rng = np.random.default_rng(70 + d)
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         ket = np.zeros((dd, dd), dtype=complex)
         ket[1, d] = 1.0
-        battery = np.stack([np.eye(dd, dtype=complex), swap_by_hand(d), ket, g, (g + g.conj().T) / 2])
-        est, _ = _twirl_battery_mc(battery, n, np.random.default_rng(80 + d))
-        assert est.n_samples == n
-        assert est.mean.shape == est.std_error.shape == battery.shape
-        for y, mean, se in zip(battery, est.mean, est.std_error):
+        choi = _twirl_choi_mc(d, n, np.random.default_rng(80 + d)).reshape(dd, dd, dd, dd)
+        for y in (np.eye(dd, dtype=complex), swap_by_hand(d), ket, g, (g + g.conj().T) / 2):
             single = twirl_mc(y, n, np.random.default_rng(80 + d))
-            assert max_abs(mean - single.mean) <= 1e-12
-            assert max_abs(se - single.std_error) <= 1e-12
+            assert max_abs(np.einsum("ij,iajb->ab", y, choi) - single.mean) <= 1e-12
 
 
 def test_twirl_dimension_validation():
