@@ -327,8 +327,8 @@ def _validate_common(args) -> None:
                          f"({side * side * 16 / 2**20:.3g} MiB), over the {_MAX_ARRAY_BYTES >> 20} MiB limit")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.n < 2 and args.command in ("success-table", "twirl-verify"):
-        raise UsageError(f"{args.command} needs --n >= 2 for a standard error, got {args.n}")
+    if args.n < 2 and args.command == "success-table":
+        raise UsageError(f"success-table needs --n >= 2 for a standard error, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if getattr(args, "eta_same", None) is not None and not 0.0 < args.eta_same < 1.0:

@@ -101,7 +101,7 @@ class Strategy:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome probabilities for one channel pair plus one sampled verdict."""
+    """Outcome probabilities for one channel pair, which sum to 1, plus one sampled verdict."""
 
     p_diff: float
     p_inconclusive: float
@@ -167,41 +167,38 @@ def make_strategy(kind: str, xi: QState | np.ndarray) -> Strategy:
 def run_pair(strategy: Strategy, u: UnitaryOp, v: UnitaryOp, seed: int = 0) -> ComparisonReport:
     """Exact outcome probabilities for the pair (U, V) plus one sampled verdict.
 
-    Each probability is tr(F (U (x) V) xi (U (x) V)^dagger), which equals
-    tr(omega_{U,V} (xi^T (x) F)) on the doubled space.
+    p_diff is tr(F_diff (U (x) V) xi (U (x) V)^dagger) = tr(omega_{U,V} (xi^T (x) F_diff)).  The
+    elements sum to xi^T (x) I and tr(xi) = 1 within ATOL, so p_inconclusive is 1 - p_diff.
     """
     d, um, vm = strategy._factor.shape[-1], u.mat, v.mat
     if len(um) != d or len(vm) != d:
         raise DimensionMismatchError(f"strategy is for d={d}, got unitaries of dim {len(um)}, {len(vm)}")
-    (p_diff,), (p_inc,) = _probabilities(strategy, um[None], vm[None], (DIFF, INCONCLUSIVE)).tolist()
-    p_diff, p_inc = clamp_probability(p_diff), clamp_probability(p_inc)
+    p_diff = clamp_probability(float(_p_diff(strategy, um[None], vm[None])[0]))
     verdict = "different" if np.random.default_rng(seed).random() < p_diff else "inconclusive"
-    return ComparisonReport(p_diff, p_inc, verdict, seed)
+    return ComparisonReport(p_diff, 1.0 - p_diff, verdict, seed)
 
 
-def _probabilities(strategy: Strategy, u: np.ndarray, v: np.ndarray, outcomes: tuple[str, ...]) -> np.ndarray:
-    """Probabilities of the named outcomes, one row each, for the pairs of the (n, d, d) stacks u, v.
+def _p_diff(strategy: Strategy, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """p_diff, shape (n,), for the pairs of the (n, d, d) stacks u, v.
 
     With xi = sum_k vec(A_k) vec(A_k)^dagger, the boxes map vec(A_k) to
     w_k = vec(W_k), W_k = U A_k V^T, and the swap maps w_k to vec(W_k^T).  So
-    P+- = sum_k ||W_k +- W_k^T||^2 / 4: O(r d^3) per pair for a rank-r xi
-    instead of the d^6 of conjugating xi.  On the factor's (d, r, d) layout
-    B = [A_0 | ... | A_{r-1}], a pass over s factors is two GEMMs: T = U B_s
-    for all pairs at once, then W = T V^T, W[p, i, k, j] = (U_p A_k V_p^T)[i, j].
+    p_diff = sum_k ||W_k + s W_k^T||^2 / 4, s the swap eigenvalue that reads 'diff':
+    O(r d^3) per pair for a rank-r xi instead of the d^6 of conjugating xi.  On the
+    factor's (d, r, d) layout B = [A_0 | ... | A_{r-1}], a pass over some factors is two
+    GEMMs: T = U B_s for all pairs at once, then W = T V^T, W[p, i, k, j] = (U_p A_k V_p^T)[i, j].
     """
     n, d = u.shape[:2]
     b = strategy._factor.swapaxes(0, 1)
     step = _CHUNK_ENTRIES // (n * d * d) or 1
-    signs = [strategy._sign if label == DIFF else -strategy._sign for label in outcomes]  # swap eigenvalues
     u, vt = u.reshape(n * d, d), v.swapaxes(-1, -2)
-    total = np.zeros((len(signs), n))
+    total = np.zeros(n)
     for k in range(0, b.shape[1], step):  # temporaries of O(n step d^2) entries
         w = ((u @ b[:, k:k + step].reshape(d, -1)).reshape(n, -1, d) @ vt).reshape(n, d, -1, d)
         wt = w.transpose(0, 3, 2, 1)
-        for row, sign in zip(total, signs):
-            # W +- W^T is exactly (anti)symmetric, so identical boxes leave only rounding squared.
-            x = (w + wt if sign > 0 else w - wt).reshape(n, -1).view(float)
-            row += np.square(x, out=x).sum(axis=1)  # numpy's pairwise sum; a BLAS dot's is looser
+        # W +- W^T is exactly (anti)symmetric, so identical boxes leave only rounding squared.
+        x = (w + wt if strategy._sign > 0 else w - wt).reshape(n, -1).view(float)
+        total += np.square(x, out=x).sum(axis=1)  # numpy's pairwise sum; a BLAS dot's is looser
     return total / 4
 
 
@@ -217,9 +214,7 @@ def average_success(strategy: Strategy) -> float:
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
-    return _mc_mean(
-        _probabilities(strategy, u, v, (DIFF,))[0] for u, v in _haar_chunks(strategy.d, n, rng, copies=2)
-    )
+    return _mc_mean(_p_diff(strategy, u, v) for u, v in _haar_chunks(strategy.d, n, rng, copies=2))
 
 
 def overall_success(strategy: Strategy, eta_same: float) -> float:

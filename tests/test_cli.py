@@ -49,6 +49,16 @@ def test_compare_named_gates(tmp_path):
     assert payload["report"]["p_diff"] <= 1e-12
 
 
+def test_compare_probabilities_sum_to_exactly_one(tmp_path):
+    # p_inconclusive is 1 - p_diff, not a second swap projection that leaves the sum a rounding off 1.
+    for argv in (["--d", "2", "--u", "hadamard", "--v", "pauli-x"], ["--d", "3", "--u", "fourier-d", "--v", "identity"],
+                 ["--d", "6", "--u", "fourier-d", "--v", "fourier-d"]):
+        rc, payload = run_json(tmp_path, ["compare"] + argv)
+        assert rc == 0
+        report = payload["report"]
+        assert report["p_diff"] + report["p_inconclusive"] == 1.0, argv
+
+
 def test_compare_matrix_file(tmp_path):
     mat_path = tmp_path / "gate.json"
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -193,12 +203,20 @@ def test_negative_seed_rejected(capsys):
 
 
 def test_single_sample_rejected_where_a_standard_error_is_reported(capsys):
-    for argv in (["success-table", "--d-min", "2", "--d-max", "2"], ["twirl-verify", "--d", "2"]):
-        assert main(argv + ["--n", "1"]) == 2, argv[0]
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error:") and "--n" in err and "Traceback" not in err
+    assert main(["success-table", "--d-min", "2", "--d-max", "2", "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: success-table needs --n >= 2 for a standard error, got 1\n"
     assert main(["bound-scan", "--d", "2", "--n", "1"]) == 0
+
+
+def test_twirl_verify_takes_a_single_sample(capsys):
+    # twirl-verify reports residuals, no standard error, and a pair-Choi mean over one draw is defined.
+    for d in (2, 3):
+        assert main(["twirl-verify", "--d", str(d), "--n", "1"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert err == "" and payload["meta"]["n_samples"] == 1 and len(payload["rows"]) == 10
 
 
 def test_unwritable_out_rejected(tmp_path, capsys):

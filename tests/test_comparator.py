@@ -236,6 +236,23 @@ def test_run_pair_no_error_on_identical_channels():
                 assert run_pair(strategy, u, phased).p_diff <= 1e-24
 
 
+def test_run_pair_probabilities_sum_to_exactly_one():
+    # The two elements sum to xi^T (x) I, so the swap is measured once and
+    # p_inconclusive = 1 - p_diff: the pair sums to 1.0 exactly, not to rounding.
+    rng = np.random.default_rng(78)
+    for d in range(2, 9):
+        for kind, s, sampler in (("antisym_optimal", -1, random_antisymmetric_state),
+                                 ("symmetric", 1, random_symmetric_state)):
+            strategies = [make_strategy(kind, sampler(d, "mixed", rng)), make_strategy(kind, sampler(d, "pure", rng)),
+                          make_strategy(kind, random_factor(d, s, 2, rng)), make_strategy(kind, _uniform_factor(d, s))]
+            for strategy in strategies:
+                for _ in range(4):
+                    u, v = haar_sample(d, rng), haar_sample(d, rng)
+                    for pair in ((u, v), (u, u)):
+                        report = run_pair(strategy, *pair)
+                        assert report.p_diff + report.p_inconclusive == 1.0
+
+
 def test_inconclusive_element_is_psd():
     # The complement rho^T (x) I - M_diff of the optimal strategy stays PSD.
     rng = np.random.default_rng(41)
@@ -398,7 +415,7 @@ def test_factor_and_state_strategies_agree():
                 rebuilt = factor_and_rebuild(from_factor)[1]
                 assert abs(factor_leak(a, kind) - off_eigenspace(rebuilt, s)) <= 1e-14
                 assert max_abs(rebuilt - xi.mat) <= 1e-14
-                got, want = (comparator._probabilities(st, u, v, (DIFF, INCONCLUSIVE)) for st in (from_factor, from_state))
+                got, want = (comparator._p_diff(st, u, v) for st in (from_factor, from_state))
                 assert max_abs(got - want) <= 1e-14
 
 
@@ -459,10 +476,10 @@ def test_probabilities_in_bounded_passes(monkeypatch):
     rng = np.random.default_rng(76)
     strategy = make_strategy("symmetric", random_symmetric_state(4, "mixed", rng))
     u, v = haar_stacks(4, 5, rng)
-    whole = comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE))
+    whole = comparator._p_diff(strategy, u, v)
     for budget in (1, 16 * 5, 16 * 5 * 3):
         monkeypatch.setattr(comparator, "_CHUNK_ENTRIES", budget)
-        assert max_abs(comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE)) - whole) <= 1e-15
+        assert max_abs(comparator._p_diff(strategy, u, v) - whole) <= 1e-15
 
 
 def test_stacked_pairs_match_single_pairs(monkeypatch):
@@ -478,9 +495,8 @@ def test_stacked_pairs_match_single_pairs(monkeypatch):
                 u, v = haar_stacks(d, n, rng)
                 for passes in range(1, min(r, 3) + 1):
                     monkeypatch.setattr(comparator, "_CHUNK_ENTRIES", -(-r // passes) * n * d * d)
-                    stacked = comparator._probabilities(strategy, u, v, (DIFF, INCONCLUSIVE))
-                    singles = [comparator._probabilities(strategy, u[i:i + 1], v[i:i + 1], (DIFF, INCONCLUSIVE))
-                               for i in range(n)]
+                    stacked = comparator._p_diff(strategy, u, v)
+                    singles = [comparator._p_diff(strategy, u[i:i + 1], v[i:i + 1]) for i in range(n)]
                     assert max_abs(stacked - np.hstack(singles)) <= 1e-15
 
 
