@@ -9,8 +9,11 @@ twirl-verify   Monte Carlo vs exact twirl on a battery of operators
 witness        sequential-use witness: U V = W^2 with U, V != W
 
 Gate specs are registry names (identity, pauli-x/y/z, hadamard, fourier-d)
-or @path pointing to a matrix JSON file.  Exit codes: 0 ok, 2 usage,
-3 dimension error, 4 invariant violation.
+or @path pointing to a matrix JSON file.  Each command takes only the options
+it reads and returns its report body and CSV rows; main() writes them, under a
+meta block of the parsed options, only once the command has returned, so a
+failed command writes nothing.  Exit codes: 0 ok, 2 usage, 3 dimension error,
+4 invariant violation.
 """
 
 from __future__ import annotations
@@ -62,48 +65,46 @@ def _fmt(x: float) -> str:
 
 
 def resolve_gate(spec: str, d: int) -> UnitaryOp:
-    """Turn a gate spec (registry name or @path) into a unitary of dimension d."""
-    if spec.startswith("@"):
-        try:
-            with open(spec[1:], "r", encoding="utf-8") as fh:
-                mat = matrix_from_json(json.load(fh))
-        except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise UsageError(f"cannot load matrix from {spec[1:]!r}: {exc}") from exc
-        if mat.shape != (d, d):
-            raise DimensionMismatchError(f"matrix {spec} has shape {mat.shape}, expected ({d}, {d})")
-        try:
-            # Huge entries overflow U^dag U to inf; the unitarity check is NaN-safe.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return UnitaryOp(mat)
-        except ValueError as exc:
-            raise UsageError(f"matrix {spec} is not unitary: {exc}") from exc
+    """Turn a gate spec (registry name or @path) into a unitary of dimension d.
 
+    Either kind of spec gives a matrix, which then meets one shape check (exit 3)
+    and one unitarity check (exit 2).
+    """
     qubit_gates = {
         "pauli-x": np.array([[0, 1], [1, 0]], dtype=complex),
         "pauli-y": np.array([[0, -1j], [1j, 0]], dtype=complex),
         "pauli-z": np.array([[1, 0], [0, -1]], dtype=complex),
         "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
     }
-    if spec == "identity":
-        return UnitaryOp(np.eye(d, dtype=complex))
-    if spec == "fourier-d":
+    if spec.startswith("@"):
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                mat = matrix_from_json(json.load(fh))
+        except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise UsageError(f"cannot load matrix from {spec[1:]!r}: {exc}") from exc
+    elif spec == "identity":
+        mat = np.eye(d, dtype=complex)
+    elif spec == "fourier-d":
         j = np.arange(d)
-        return UnitaryOp(np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d))
-    if spec in qubit_gates:
-        if d != 2:
-            raise DimensionMismatchError(f"gate {spec!r} is a qubit gate, requested d={d}")
-        return UnitaryOp(qubit_gates[spec])
-    raise UsageError(f"unknown gate spec {spec!r}")
+        mat = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
+    elif spec in qubit_gates:
+        mat = qubit_gates[spec]
+    else:
+        raise UsageError(f"unknown gate spec {spec!r}")
+    if mat.shape != (d, d):
+        raise DimensionMismatchError(f"matrix {spec} has shape {mat.shape}, expected ({d}, {d})")
+    try:
+        # Huge entries overflow U^dag U to inf; the unitarity check is NaN-safe.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return UnitaryOp(mat)
+    except ValueError as exc:
+        raise UsageError(f"matrix {spec} is not unitary: {exc}") from exc
 
 
-def _meta(args, **extra) -> dict:
-    meta = {
-        "command": args.command,
-        "seed": args.seed,
-        "n_samples": getattr(args, "n", None),
-        "version": __version__,
-    }
-    meta.update(extra)
+def _meta(args) -> dict:
+    """The parsed options, the command among them, less func, --out and --format, plus the version."""
+    meta = {k: v for k, v in vars(args).items() if k not in ("func", "out", "format")}
+    meta["version"] = __version__
     return meta
 
 
@@ -131,19 +132,16 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[dict, list[dict]]:
     d = args.d
     u = resolve_gate(args.u, d)
     v = resolve_gate(args.v, d)
     strategy = make_strategy("antisym_optimal", _uniform_factor(d, -1))
-    report = run_pair(strategy, u, v, seed=args.seed)
-    payload = {"meta": _meta(args, d=d, u=args.u, v=args.v), "report": report.to_json()}
-    rows = [{"d": d, **report.to_json()}]
-    _emit(payload, rows, args)
-    return 0
+    report = run_pair(strategy, u, v, seed=args.seed).to_json()
+    return {"report": report}, [{"d": d, **report}]
 
 
-def cmd_success_table(args) -> int:
+def cmd_success_table(args) -> tuple[dict, list[dict]]:
     if not (2 <= args.d_min <= args.d_max <= 6):
         raise UsageError(f"need 2 <= d-min <= d-max <= 6, got {args.d_min}..{args.d_max}")
     rng = np.random.default_rng(args.seed)
@@ -151,8 +149,8 @@ def cmd_success_table(args) -> int:
     for d in range(args.d_min, args.d_max + 1):
         optimal = make_strategy("antisym_optimal", _uniform_factor(d, -1))
         symmetric = make_strategy("symmetric", _uniform_factor(d, 1))
-        opt_mc = average_success_mc(optimal, args.n, rng)
-        sym_mc = average_success_mc(symmetric, args.n, rng)
+        opt_mc = average_success_mc(optimal, args.n_samples, rng)
+        sym_mc = average_success_mc(symmetric, args.n_samples, rng)
         row = {
             "d": d,
             "optimal_analytic": average_success(optimal),
@@ -166,18 +164,16 @@ def cmd_success_table(args) -> int:
             row["overall_optimal"] = overall_success(optimal, args.eta_same)
             row["overall_symmetric"] = overall_success(symmetric, args.eta_same)
         rows.append(row)
-    payload = {"meta": _meta(args, d_min=args.d_min, d_max=args.d_max, eta_same=args.eta_same), "rows": rows}
-    _emit(payload, rows, args)
-    return 0
+    return {"rows": rows}, rows
 
 
-def cmd_bound_scan(args) -> int:
+def cmd_bound_scan(args) -> tuple[dict, list[dict]]:
     d = args.d
     rng = np.random.default_rng(args.seed)
     bound = success_bound(d)
     max_success = 0.0
     violations = 0
-    for _ in range(args.n):
+    for _ in range(args.n_samples):
         ppovm = random_unambiguous_ppovm(d, rng)
         success = float(np.trace(ppovm.elements[DIFF]).real) / (d * d)
         max_success = max(max_success, success)
@@ -186,23 +182,21 @@ def cmd_bound_scan(args) -> int:
     rows = [
         {
             "d": d,
-            "n_draws": args.n,
+            "n_draws": args.n_samples,
             "max_success": max_success,
             "bound": bound,
             "margin": bound - max_success,
             "violations": violations,
         }
     ]
-    payload = {"meta": _meta(args, d=d), "rows": rows}
-    _emit(payload, rows, args)
     if violations:
         raise InvariantViolation(
             f"{violations} draw(s) exceeded the success bound {bound} by more than {SUM_ATOL}"
         )
-    return 0
+    return {"rows": rows}, rows
 
 
-def cmd_twirl_verify(args) -> int:
+def cmd_twirl_verify(args) -> tuple[dict, list[dict]]:
     d = args.d
     rng = np.random.default_rng(args.seed)
     p_plus, p_minus = projector(d, 1), projector(d, -1)
@@ -226,7 +220,7 @@ def cmd_twirl_verify(args) -> int:
     }
     # One estimate, the twirl's Choi operator C = E |w><w| with w = vec(K^T), K = U (x) U,
     # gives every battery twirl by the Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb).
-    pair_choi = _twirl_choi_mc(d, args.n, rng)
+    pair_choi = _twirl_choi_mc(d, args.n_samples, rng)
     means = np.tensordot(np.stack(list(battery.values())), pair_choi.reshape(dd, dd, dd, dd), axes=([1, 2], [0, 2]))
     rows = []
     for (name, op), mean in zip(battery.items(), means):
@@ -240,12 +234,10 @@ def cmd_twirl_verify(args) -> int:
     rows.append(
         {"check": "exact_trace_preserving", "residual": float(abs(np.trace(once) - np.trace(herm)))}
     )
-    payload = {"meta": _meta(args, d=d), "rows": rows}
-    _emit(payload, rows, args)
-    return 0
+    return {"rows": rows}, rows
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict, list[dict]]:
     d = args.d
     w = resolve_gate(args.w, d)
     r = resolve_gate(args.r, d)
@@ -261,16 +253,9 @@ def cmd_witness(args) -> int:
     x, y = _pair_output_vec(uv.mat), _pair_output_vec(w_sq.mat)
     xc, yc = x.conj(), y.conj()
     choi_residual = max(max_abs(np.outer(x[i:i + d], xc) - np.outer(y[i:i + d], yc)) for i in range(0, d * d, d))
-    payload = {
-        "meta": _meta(args, d=d, w=args.w, r=args.r),
-        "u": matrix_to_json(u.mat),
-        "v": matrix_to_json(v.mat),
-        "product_residual": product_residual,
-        "choi_residual": choi_residual,
-    }
-    rows = [{"d": d, "product_residual": product_residual, "choi_residual": choi_residual}]
-    _emit(payload, rows, args)
-    return 0
+    body = {"u": matrix_to_json(u.mat), "v": matrix_to_json(v.mat),
+            "product_residual": product_residual, "choi_residual": choi_residual}
+    return body, [{"d": d, "product_residual": product_residual, "choi_residual": choi_residual}]
 
 
 @functools.cache  # built on the first main() call, not at import, then shared
@@ -278,42 +263,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chancomp", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"chancomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_d=True):
-        if with_d:
-            p.add_argument("--d", type=int, default=2, help="qudit dimension (>= 2)")
-        p.add_argument("--n", type=int, default=10000, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output (>= 0)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("compare", help="compare one pair of gates with the optimal strategy")
-    add_common(p)
-    p.add_argument("--u", required=True, help="gate name or @matrix.json")
-    p.add_argument("--v", required=True, help="gate name or @matrix.json")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("success-table", help="success probabilities for a range of dimensions")
-    add_common(p, with_d=False)
-    p.add_argument("--eta-same", dest="eta_same", type=float, default=None,
-                   help="prior probability that the channels are the same, in (0, 1)")
-    p.add_argument("--d-min", dest="d_min", type=int, default=2)
-    p.add_argument("--d-max", dest="d_max", type=int, default=6)
-    p.set_defaults(func=cmd_success_table)
-
-    p = sub.add_parser("bound-scan", help="random unambiguous PPOVMs vs the success bound")
-    add_common(p)
-    p.set_defaults(func=cmd_bound_scan)
-
-    p = sub.add_parser("twirl-verify", help="Monte Carlo vs exact twirl diagnostics")
-    add_common(p)
-    p.set_defaults(func=cmd_twirl_verify)
-
-    p = sub.add_parser("witness", help="sequential-use witness U V = W^2")
-    add_common(p)
-    p.add_argument("--w", required=True, help="gate name or @matrix.json")
-    p.add_argument("--r", required=True, help="gate name or @matrix.json (not identity)")
-    p.set_defaults(func=cmd_witness)
+    gate = dict(required=True, help="gate name or @matrix.json")
+    options = {
+        "--d": dict(type=int, default=2, help="qudit dimension (>= 2)"),
+        "--n": dict(dest="n_samples", type=int, default=10000, help="Monte Carlo sample count"),
+        "--seed": dict(type=int, default=0, help="RNG seed recorded in the output (>= 0)"),
+        "--u": gate, "--v": gate, "--w": gate,
+        "--r": dict(gate, help="gate name or @matrix.json (not identity)"),
+        "--eta-same": dict(type=float, help="prior probability that the channels are the same, in (0, 1)"),
+        "--d-min": dict(type=int, default=2),
+        "--d-max": dict(type=int, default=6),
+        "--out": dict(help="output path (default: stdout)"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+    for name, func, help_text, names in (
+        ("compare", cmd_compare, "compare one pair of gates with the optimal strategy", "--d --seed --u --v"),
+        ("success-table", cmd_success_table, "success probabilities for a range of dimensions",
+         "--n --seed --eta-same --d-min --d-max"),
+        ("bound-scan", cmd_bound_scan, "random unambiguous PPOVMs vs the success bound", "--d --n --seed"),
+        ("twirl-verify", cmd_twirl_verify, "Monte Carlo vs exact twirl diagnostics", "--d --n --seed"),
+        ("witness", cmd_witness, "sequential-use witness U V = W^2", "--d --w --r"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for option in names.split() + ["--out", "--format"]:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -325,12 +299,13 @@ def _validate_common(args) -> None:
     if side * side * 16 > _MAX_ARRAY_BYTES:
         raise UsageError(f"--d {d} needs a {side} x {side} complex array "
                          f"({side * side * 16 / 2**20:.3g} MiB), over the {_MAX_ARRAY_BYTES >> 20} MiB limit")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.n < 2 and args.command == "success-table":
-        raise UsageError(f"success-table needs --n >= 2 for a standard error, got {args.n}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    n, seed = getattr(args, "n_samples", 1), getattr(args, "seed", 0)
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+    if n < 2 and args.command == "success-table":
+        raise UsageError(f"success-table needs --n >= 2 for a standard error, got {n}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     if getattr(args, "eta_same", None) is not None and not 0.0 < args.eta_same < 1.0:
         raise UsageError(f"--eta-same must lie strictly in (0, 1), got {args.eta_same}")
 
@@ -343,7 +318,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         _validate_common(args)
-        return args.func(args)
+        body, rows = args.func(args)
+        _emit({"meta": _meta(args), **body}, rows, args)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

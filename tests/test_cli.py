@@ -72,7 +72,8 @@ def test_compare_exit_codes(tmp_path):
     assert main(["compare", "--d", "2", "--u", "no-such-gate", "--v", "identity"]) == 2
     assert main(["compare", "--d", "3", "--u", "pauli-x", "--v", "identity"]) == 3
     assert main(["compare", "--d", "1", "--u", "identity", "--v", "identity"]) == 2
-    assert main(["compare", "--d", "2", "--u", "identity", "--v", "identity", "--n", "0"]) == 2
+    for command in ("bound-scan", "twirl-verify"):
+        assert main([command, "--d", "2", "--n", "0"]) == 2, command
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -182,9 +183,9 @@ def test_oversized_d_rejected_before_allocating(capsys):
     # Only sizes far past the limit: a large case is never run.
     for argv in (["compare", "--u", "identity", "--v", "identity"],
                  ["witness", "--w", "identity", "--r", "fourier-d"],
-                 ["bound-scan"], ["twirl-verify"]):
+                 ["bound-scan", "--n", "5"], ["twirl-verify", "--n", "5"]):
         for d in ("100000", "10000000000"):
-            assert main(argv + ["--d", d, "--n", "5"]) == 2, (argv[0], d)
+            assert main(argv + ["--d", d]) == 2, (argv[0], d)
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error:") and "--d" in err and "Traceback" not in err
@@ -192,11 +193,10 @@ def test_oversized_d_rejected_before_allocating(capsys):
 
 def test_negative_seed_rejected(capsys):
     for argv in (["compare", "--d", "2", "--u", "identity", "--v", "pauli-x"],
-                 ["success-table", "--d-min", "2", "--d-max", "2"],
-                 ["bound-scan", "--d", "2"],
-                 ["twirl-verify", "--d", "2"],
-                 ["witness", "--d", "2", "--w", "hadamard", "--r", "pauli-z"]):
-        assert main(argv + ["--n", "5", "--seed", "-1"]) == 2, argv[0]
+                 ["success-table", "--d-min", "2", "--d-max", "2", "--n", "5"],
+                 ["bound-scan", "--d", "2", "--n", "5"],
+                 ["twirl-verify", "--d", "2", "--n", "5"]):
+        assert main(argv + ["--seed", "-1"]) == 2, argv[0]
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and "--seed" in err and "Traceback" not in err
@@ -232,6 +232,47 @@ def test_eta_same_only_on_success_table(capsys):
     assert main(["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--eta-same", "0.5"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--eta-same" in err
+
+
+def test_options_a_command_does_not_read_are_rejected(capsys):
+    # compare computes exact probabilities (no --n); witness draws nothing (no --n, no --seed).
+    for argv in (["compare", "--d", "2", "--u", "identity", "--v", "pauli-x", "--n", "5"],
+                 ["witness", "--d", "2", "--w", "hadamard", "--r", "pauli-z", "--n", "5"],
+                 ["witness", "--d", "2", "--w", "hadamard", "--r", "pauli-z", "--seed", "1"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and argv[-2] in err and "Traceback" not in err
+
+
+def test_meta_records_the_options_a_command_reads(tmp_path):
+    # Every option but --out and --format, under its dest name, plus the command and the version.
+    cases = {
+        "compare": (["--d", "2", "--u", "identity", "--v", "pauli-x"], {"d", "seed", "u", "v"}),
+        "success-table": (["--d-min", "2", "--d-max", "2", "--n", "5"], {"n_samples", "seed", "eta_same", "d_min", "d_max"}),
+        "bound-scan": (["--d", "2", "--n", "2"], {"d", "n_samples", "seed"}),
+        "twirl-verify": (["--d", "2", "--n", "2"], {"d", "n_samples", "seed"}),
+        "witness": (["--d", "2", "--w", "hadamard", "--r", "pauli-z"], {"d", "w", "r"}),
+    }
+    for command, (argv, options) in cases.items():
+        rc, payload = run_json(tmp_path, [command] + argv)
+        assert rc == 0, command
+        assert set(payload["meta"]) == options | {"command", "version"}, command
+        assert payload["meta"]["command"] == command
+    rc, payload = run_json(tmp_path, ["compare", "--d", "3", "--u", "fourier-d", "--v", "identity", "--seed", "7"])
+    assert payload["meta"] == {"command": "compare", "d": 3, "seed": 7, "u": "fourier-d", "v": "identity",
+                               "version": chancomp.__version__}
+
+
+def test_bound_scan_violation_writes_nothing(monkeypatch, tmp_path, capsys):
+    # A scan whose draws beat the bound fails like every other command: exit 4, no report anywhere.
+    monkeypatch.setattr(cli, "success_bound", lambda d: 0.0)
+    assert main(["bound-scan", "--d", "2", "--n", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: 3 draw(s) exceeded the success bound") and "Traceback" not in err
+    out_path = tmp_path / "scan.json"
+    assert main(["bound-scan", "--d", "2", "--n", "3", "--out", str(out_path)]) == 4
+    assert not out_path.exists()
 
 
 def test_library_value_error_exits_4(monkeypatch, capsys):

@@ -25,6 +25,16 @@ BOUND_SCAN_DIMS = (1, 2, 3, 4, 9, 65)
 SAMPLES = (0, 1, 2, 5, 20)
 SEEDS = (0, 5, 2**40)
 ETA_SAME = ("0.3", "0", "1", "nan", "-2")
+# Each option's values and the share of cases that pass it to a command that reads it.
+OPTIONS = {"--n": (SAMPLES, 1.0), "--seed": (SEEDS, 1.0), "--eta-same": (ETA_SAME, 0.5)}
+READS = {
+    "compare": ("--seed",),
+    "success-table": ("--n", "--seed", "--eta-same"),
+    "bound-scan": ("--n", "--seed"),
+    "twirl-verify": ("--n", "--seed"),
+    "witness": (),
+}
+FOREIGN = 0.05  # share of cases that pass an option the command does not read (argparse exits 2)
 NAMED_GATES = ("identity", "pauli-x", "hadamard", "fourier-d", "no-such-gate")
 
 
@@ -57,17 +67,18 @@ GATE_PAYLOADS = {
 def _argv(rng, gate):
     command = rng.choice(COMMANDS)
     d = rng.choice(BOUND_SCAN_DIMS if command == "bound-scan" else DIMS)
-    n = rng.choice(SAMPLES)
-    if command == "bound-scan" and d == 4:
-        n = min(n, 2)
-    argv = [command, "--n", str(n), "--seed", str(rng.choice(SEEDS)), "--format", rng.choice(("json", "csv"))]
+    argv = [command, "--format", rng.choice(("json", "csv"))]
     argv += ["--d-max", str(d)] if command == "success-table" else ["--d", str(d)]
     if command == "compare":
         argv += ["--u", gate(d), "--v", gate(d)]
     elif command == "witness":
         argv += ["--w", gate(d), "--r", gate(d)]
-    if rng.random() < (0.5 if command == "success-table" else 0.1):  # only success-table takes it
-        argv += ["--eta-same", rng.choice(ETA_SAME)]
+    for option, (values, share) in OPTIONS.items():
+        if rng.random() < (share if option in READS[command] else FOREIGN):
+            value = rng.choice(values)
+            if option == "--n" and command == "bound-scan" and d == 4:
+                value = min(value, 2)
+            argv += [option, str(value)]
     return argv
 
 
@@ -87,7 +98,7 @@ def test_cli_contract_holds_on_random_input(tmp_path, capsys):
             paths[kind, dim].write_text(json.dumps(payload))  # writes the NaN / Infinity literals
         return f"@{paths[kind, dim]}"
 
-    violations = []
+    violations, succeeded = [], set()
     for _ in range(CASES):
         argv = _argv(rng, gate)
         try:
@@ -104,9 +115,13 @@ def test_cli_contract_holds_on_random_input(tmp_path, capsys):
             violations.append(f"{argv}: traceback on stderr")
         if rc != 0 and out:
             violations.append(f"{argv}: exit {rc} with stdout {out[:80]!r}")
+        if rc == 0:
+            succeeded.add(argv[0])
         if rc == 0 and "json" in argv:
             try:
                 json.loads(out)
             except ValueError as exc:
                 violations.append(f"{argv}: invalid JSON ({exc})")
     assert not violations, "\n".join(violations)
+    # Every command got past argparse and its checks at least once, so every one was exercised.
+    assert succeeded == set(COMMANDS)
