@@ -39,12 +39,11 @@ from .comparator import (
     run_pair,
     sequential_witness,
     success_bound,
-    twirl_choi,
 )
 from .haar import _twirl_choi_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, _pair_output_vec
-from .symmetry import _uniform_factor, projector
+from .symmetry import _twirl_choi_fill, _uniform_factor, projector
 
 
 class UsageError(Exception):
@@ -226,8 +225,9 @@ def cmd_twirl_verify(args) -> tuple[dict, list[dict]]:
     for (name, op), mean in zip(battery.items(), means):
         dev = max_abs(mean - twirl_exact(op))
         rows.append({"check": f"mc_vs_exact[{name}]", "residual": float(dev)})
-    dev = max_abs(pair_choi - twirl_choi(d).mat)
-    rows.append({"check": "pair_choi_mc_vs_twirl_choi", "residual": float(dev)})
+    # The exact operator is PSD by construction: filled, subtracted in place, never validated here.
+    pair_choi -= _twirl_choi_fill(d)
+    rows.append({"check": "pair_choi_mc_vs_twirl_choi", "residual": max_abs(pair_choi)})
 
     once = twirl_exact(herm)
     rows.append({"check": "exact_idempotent", "residual": float(max_abs(twirl_exact(once) - once))})

@@ -18,7 +18,7 @@ import numpy as np
 from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
 from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability
-from .symmetry import eigenbasis, off_eigenspace, projector, qudit_dim
+from .symmetry import _twirl_choi_fill, eigenbasis, off_eigenspace, projector, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -145,11 +145,10 @@ def twirl_choi(d: int) -> ChoiOp:
 
     Equals P+ (x) P+ / d+  +  P- (x) P- / d- across the reference/output cut;
     it is also the Haar average of the Choi operators of identical pairs,
-    which is what makes its orthocomplement the home of M_diff.
+    which is what makes its orthocomplement the home of M_diff.  Filled from
+    the swap's index map, then validated as a ChoiOp: the checked oracle.
     """
-    p_plus, p_minus = projector(d, 1), projector(d, -1)
-    mat = tensor(p_plus, p_plus) / (d * (d + 1) // 2) + tensor(p_minus, p_minus) / (d * (d - 1) // 2)
-    return ChoiOp(mat, d * d)
+    return ChoiOp(_twirl_choi_fill(d), d * d)
 
 
 def make_strategy(kind: str, xi: QState | np.ndarray) -> Strategy:
@@ -321,8 +320,11 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
     gram /= float(np.linalg.eigvalsh(gram)[-1])
 
     lam = max_psd_scale(_cross_schur_complement(rho.mat.T, bp, bm), gram)
-    m_diff = lam * (cross @ gram @ cross.conj().T)
-    return Ppovm({DIFF: m_diff, INCONCLUSIVE: tensor(rho.mat.T, np.eye(dd)) - m_diff}, rho)
+    m_diff = cross @ gram @ cross.conj().T
+    m_diff *= lam
+    inconclusive = tensor(rho.mat.T, np.eye(dd))
+    inconclusive -= m_diff
+    return Ppovm({DIFF: m_diff, INCONCLUSIVE: inconclusive}, rho)
 
 
 def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:

@@ -125,9 +125,10 @@ class Ppovm:
     def __init__(self, elements: dict[str, np.ndarray], rho: QState):
         d = rho.dim
         elems = {label: _positive_operator(m, d * d, f"element {label!r}") for label, m in elements.items()}
-        total = sum(elems.values(), np.zeros((d * d, d * d), dtype=complex))
-        expected = tensor(rho.mat.T, np.eye(d))
-        if not (max_abs(total - expected) <= SUM_ATOL):
+        resid = tensor(rho.mat.T, np.eye(d))  # rho^T (x) I minus each element, in place
+        for m in elems.values():
+            resid -= m
+        if not (max_abs(resid) <= SUM_ATOL):
             raise ValueError("elements do not sum to rho^T (x) identity")
         self.elements = elems
         self.rho = rho

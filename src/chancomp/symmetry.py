@@ -8,7 +8,9 @@ the two row qudits of x.  Basis vectors are the (anti)symmetrized
 computational pairs, enumerated in lexicographic order so fixtures are
 reproducible.  projector fills a fresh d^4 array on every call, so none
 outlives its reader; eigenbasis is cached per (d, s), read-only, since
-every random_unambiguous_ppovm draw reads both bases.
+every random_unambiguous_ppovm draw reads both bases.  The two-copy twirl's
+Choi operator on the doubled space is filled the same way, from the swapped
+index of each of its two pairs, with no tensor product of projectors.
 """
 
 from __future__ import annotations
@@ -64,6 +66,29 @@ def _identity_swap_sum(d: int, a, b) -> np.ndarray:
     out[pair, pair] = a
     out[(pair % d) * d + pair // d, pair] += b
     return out
+
+
+def _twirl_choi_fill(d: int) -> np.ndarray:
+    """The two-copy twirl's Choi operator P+ (x) P+ / d+ + P- (x) P- / d- as a fresh (d^4, d^4) complex array.
+
+    With P+- = (I +- S) / 2 it is alpha (I (x) I + S (x) S) + beta (I (x) S + S (x) I),
+    alpha, beta = (1/d+ +- 1/d-) / 4: up to four entries per column, each term filled
+    from the swap's index map on the two pairs of a doubled-space index.
+    """
+    if d < 2:
+        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    dd = d * d
+    inv_plus, inv_minus = 1 / (d * (d + 1) // 2), 1 / (d * (d - 1) // 2)
+    alpha, beta = (inv_plus + inv_minus) / 4, (inv_plus - inv_minus) / 4
+    pair = np.arange(dd)
+    p, q = pair[:, None], pair[None, :]  # the column (p, q), its row under each term below
+    sp, sq = (p % d) * d + p // d, (q % d) * d + q // d
+    out = np.zeros((dd, dd, dd, dd), dtype=complex)
+    out[p, q, p, q] = alpha
+    out[sp, sq, p, q] += alpha
+    out[p, sq, p, q] += beta
+    out[sp, q, p, q] += beta
+    return out.reshape(dd * dd, dd * dd)
 
 
 def projector(d: int, s: int) -> np.ndarray:

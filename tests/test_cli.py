@@ -103,18 +103,26 @@ def test_compare_d64_matches_closed_form(tmp_path):
     assert abs(payload["report"]["p_diff"] - (d * d - abs(t) ** 2) / (2 * d * (d - 1))) <= 1e-10
 
 
-def test_compare_builds_no_d2_by_d2_array():
-    # Peak traced allocation of compare at d=32 stays below one d^2 x d^2
-    # complex array (16.8 MB); the warm-up call builds the parser first.
-    argv = ["compare", "--u", "fourier-d", "--v", "identity", "--out", os.devnull, "--d"]
+def traced_peak(argv, d):
+    """Peak traced allocation, in bytes, of one main(argv + ["--d", d]) call after a d=2 warm-up.
+
+    The warm-up builds the parser first.  tracemalloc sees numpy's array
+    buffers, not the work arrays LAPACK allocates inside a factorisation.
+    """
+    argv = argv + ["--out", os.devnull, "--d"]
     assert main(argv + ["2"]) == 0
     tracemalloc.start()
     try:
-        assert main(argv + ["32"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        assert main(argv + [str(d)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32**4 * 16
+
+
+def test_compare_builds_no_d2_by_d2_array():
+    # Peak traced allocation of compare at d=32 stays below one d^2 x d^2
+    # complex array (16.8 MB).
+    assert traced_peak(["compare", "--u", "fourier-d", "--v", "identity"], 32) < 32**4 * 16
 
 
 def test_one_parser_serves_interleaved_calls(capsys):
@@ -460,6 +468,20 @@ def test_pair_choi_mean_matches_per_draw_outer_products():
             assert max_abs(got - total / n) <= 1e-12
 
 
+def test_twirl_verify_holds_at_most_two_and_a_half_doubled_space_arrays():
+    # At d=6 the pair-Choi estimate and the tensordot's transposed copy of it are two
+    # d^4 x d^4 complex arrays (26.9 MB each); the exact twirl Choi operator is filled,
+    # subtracted in place and freed, never validated, so the peak stays below 2.5.
+    assert traced_peak(["twirl-verify", "--n", "2", "--seed", "5"], 6) <= 2.5 * 6**8 * 16
+
+
+def test_bound_scan_holds_at_most_five_and_a_half_doubled_space_arrays():
+    # A d=4 draw holds its two elements (1 MiB each), each formed in place, the
+    # (256, 120) cross-subspace isometry, and the shifted copy and Cholesky factor
+    # of one PSD check at a time; the one normalisation residual comes after both.
+    assert traced_peak(["bound-scan", "--n", "1", "--seed", "5"], 4) <= 5.5 * 4**8 * 16
+
+
 def test_witness(tmp_path):
     rc, payload = run_json(tmp_path, ["witness", "--d", "2", "--w", "hadamard", "--r", "pauli-z"])
     assert rc == 0
@@ -476,16 +498,8 @@ def test_witness(tmp_path):
 
 def test_witness_builds_no_d2_by_d2_array():
     # Peak traced allocation of witness at d=32 stays below one d^2 x d^2
-    # complex array (16 MiB); the warm-up call builds the parser first.
-    argv = ["witness", "--w", "fourier-d", "--r", "fourier-d", "--out", os.devnull, "--d"]
-    assert main(argv + ["2"]) == 0
-    tracemalloc.start()
-    try:
-        assert main(argv + ["32"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32**4 * 16
+    # complex array (16 MiB).
+    assert traced_peak(["witness", "--w", "fourier-d", "--r", "fourier-d"], 32) < 32**4 * 16
 
 
 def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):

@@ -43,7 +43,7 @@ from chancomp.symmetry import (
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
-from dense_oracle import dense_ppovm, swap_effects
+from dense_oracle import dense_ppovm, swap_effects, twirl_choi_projector_form
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -91,13 +91,14 @@ def factor_and_rebuild(strategy):
 
 
 def test_twirl_choi_structure():
+    # The index-map fill against the projector form: equal to rounding (bit for bit at d=4, 6).
+    for d in range(2, 7):
+        assert max_abs(twirl_choi(d).mat - twirl_choi_projector_form(d)) <= 1e-15
     for d in (2, 3):
-        p_plus, p_minus = projector(d, 1), projector(d, -1)
         dim_plus, dim_minus = d * (d + 1) // 2, d * (d - 1) // 2
         omega = twirl_choi(d)
         assert abs(np.trace(omega.mat).real - d * d) <= 1e-10
-        expected = tensor(p_plus, p_plus) / dim_plus + tensor(p_minus, p_minus) / dim_minus
-        assert max_abs(omega.mat - expected) <= 1e-12
+        assert max_abs(omega.mat - twirl_choi_projector_form(d)) <= 1e-12
         # support projector and rank d+^2 + d-^2
         rank = int(np.sum(np.linalg.eigvalsh(omega.mat) > 1e-10))
         assert rank == dim_plus ** 2 + dim_minus ** 2

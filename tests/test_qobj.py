@@ -279,6 +279,14 @@ def test_ppovm_validation_and_json_roundtrip():
 
     with pytest.raises(ValueError):
         Ppovm({"diff": good["diff"]}, xi)  # wrong sum
+    # The sum may miss rho^T (x) I by SUM_ATOL = 1e-9 per entry, and no more.
+    for off, ok in ((5e-10, True), (2e-9, False)):
+        shifted = {"diff": good["diff"], "inconclusive": good["inconclusive"] + off * np.eye(16)}
+        if ok:
+            Ppovm(shifted, xi)
+        else:
+            with pytest.raises(ValueError, match="do not sum"):
+                Ppovm(shifted, xi)
     bad = {"diff": -good["diff"], "inconclusive": good["inconclusive"] + 2 * good["diff"]}
     with pytest.raises(ValueError):
         Ppovm(bad, xi)
