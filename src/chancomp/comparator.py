@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# haar_sample stays importable from here: the perfbench tracer wraps it under this module too.
-from .haar import McEstimate, _haar_chunks, _mc_mean, haar_sample  # noqa: F401
+from .haar import _CHUNK, McEstimate, _mc_mean, haar_sample
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
 from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability
 from .symmetry import _twirl_choi_fill, eigenbasis, off_eigenspace, projector, qudit_dim
@@ -213,7 +212,19 @@ def average_success(strategy: Strategy) -> float:
 
 def average_success_mc(strategy: Strategy, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo check of average_success over independent Haar pairs (U, V)."""
-    return _mc_mean(_p_diff(strategy, u, v) for u, v in _haar_chunks(strategy.d, n, rng, copies=2))
+    d = strategy.d
+
+    # One haar_sample call per unitary, not haar._haar_chunks: perfbench's
+    # test_haar_sample_calls_are_four_per_pair_per_row counts these calls.  This loop
+    # moves onto _haar_chunks once ROADMAP item 1 re-pins that test; until then it is
+    # also the per-draw reference the batched chunks are held to, bit for bit.
+    def chunks():
+        for count in range(0, n, _CHUNK):
+            k = min(_CHUNK, n - count)
+            draws = np.stack([haar_sample(d, rng).mat for _ in range(2 * k)]).reshape(k, 2, d, d)
+            yield _p_diff(strategy, draws[:, 0], draws[:, 1])
+
+    return _mc_mean(chunks())
 
 
 def overall_success(strategy: Strategy, eta_same: float) -> float:
@@ -321,6 +332,7 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
 
     lam = max_psd_scale(_cross_schur_complement(rho.mat.T, bp, bm), gram)
     m_diff = cross @ gram @ cross.conj().T
+    del cross  # (d^4, m), read no more: freed before the Ppovm checks' peak
     m_diff *= lam
     inconclusive = tensor(rho.mat.T, np.eye(dd))
     inconclusive -= m_diff

@@ -2,10 +2,13 @@
 
 Sampling uses the QR decomposition of a complex Ginibre matrix with the
 R-diagonal phase correction, which is exactly Haar distributed.  All samplers
-take an explicit numpy Generator.  Every Monte Carlo average draws its
-unitaries through _haar_chunks, the one place that decides the chunk size
-and the stream order.  The CLI's twirl check estimates one object, the
-twirl's Choi operator, and reads the twirl of every operator off it.
+take an explicit numpy Generator.  haar_sample draws one unitary;
+_haar_chunks draws a chunk of them with one stacked QR, bit for bit the
+unitaries and stream of as many haar_sample calls, and decides the chunk
+size and the stream order.  The Monte Carlo averages here draw through it;
+comparator.average_success_mc still loops over haar_sample (see there).
+The CLI's twirl check estimates one object, the twirl's Choi operator, and
+reads the twirl of every operator off it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack
+from .linalg import ATOL, DimensionMismatchError, _conjugate_stack, as_matrix, kron_stack, max_abs
 from .qobj import UnitaryOp, _pair_output_vec
 from .symmetry import _identity_swap_sum, qudit_dim
 
@@ -59,13 +62,28 @@ def haar_sample(d: int, rng: np.random.Generator) -> UnitaryOp:
 def _haar_chunks(d: int, n: int, rng: np.random.Generator, copies: int = 1):
     """n draws of `copies` Haar unitaries, as (copies, k, d, d) chunks of k <= _CHUNK draws.
 
-    One haar_sample call per unitary, a draw's copies in a row: the stream
-    is used as by n * copies calls in turn.  Unpack as `(u,)` or `u, v`.
+    A chunk is built at once: one normal draw for its k * copies Ginibre
+    matrices, one stacked QR, the phase fix broadcast over the stack and one
+    stacked unitarity check, which raises UnitaryOp's ValueError.  The stream
+    is used as by k * copies haar_sample calls in turn, a draw's copies in a
+    row, and each unitary has haar_sample's bits.  Unpack as `(u,)` or `u, v`.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     for count in range(0, n, _CHUNK):
         k = min(_CHUNK, n - count)
-        draws = np.stack([haar_sample(d, rng).mat for _ in range(k * copies)])
-        yield draws.reshape(k, copies, d, d).swapaxes(0, 1)
+        x = rng.normal(size=(k * copies, 2, d, d))
+        x *= 1 / math.sqrt(2)
+        z = np.empty((k * copies, d, d), dtype=complex)
+        z.real, z.imag = x[:, 0], x[:, 1]
+        q, r = np.linalg.qr(z)
+        diag = r.diagonal(axis1=1, axis2=2)
+        q *= (diag / abs(diag))[:, None, :]
+        gram = q.conj().swapaxes(1, 2) @ q
+        gram.reshape(len(q), -1)[:, :: d + 1] -= 1  # gram - I, in place
+        if not (max_abs(gram) <= ATOL):
+            raise ValueError("operator is not unitary within tolerance")
+        yield q.reshape(k, copies, d, d).swapaxes(0, 1)
 
 
 def _mc_mean(chunks) -> McEstimate:

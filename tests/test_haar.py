@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chancomp import comparator
 from chancomp.comparator import average_success_mc, make_strategy
 from chancomp.haar import (
     McEstimate,
@@ -16,7 +17,7 @@ from chancomp.haar import (
     twirl_mc,
 )
 from chancomp.linalg import DimensionMismatchError, max_abs
-from chancomp.symmetry import uniform_antisymmetric_state
+from chancomp.symmetry import uniform_antisymmetric_state, uniform_symmetric_state
 from dense_oracle import swap_effects
 
 
@@ -56,6 +57,50 @@ def test_haar_sample_is_the_textbook_construction_bit_for_bit():
             expected = q * (diag / np.abs(diag))
             assert haar_sample(d, rng).mat.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_haar_chunks_are_per_draw_haar_sample_stacks_bit_for_bit():
+    # One normal draw, one stacked QR and one stacked check per chunk give the
+    # unitaries of k * copies haar_sample calls in turn, a draw's copies in a
+    # row, and leave the generator where those calls leave it.
+    for d in (1, 2, 3, 4, 6, 16):
+        for copies in (1, 2):
+            for n in (1, 63, 64, 65, 130):
+                rng, ref = np.random.default_rng(d * 1000 + n), np.random.default_rng(d * 1000 + n)
+                chunks = list(_haar_chunks(d, n, rng, copies))
+                assert [c.shape for c in chunks] == [(copies, min(64, n - i), d, d) for i in range(0, n, 64)]
+                want = np.stack([haar_sample(d, ref).mat for _ in range(n * copies)])
+                got = np.concatenate(chunks, axis=1).swapaxes(0, 1).reshape(n * copies, d, d)
+                assert got.tobytes() == want.tobytes(), (d, copies, n)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_average_success_mc_is_the_batched_chunks_estimate_bit_for_bit():
+    # average_success_mc still draws per haar_sample call; on the same seed the
+    # batched chunks give the same pairs, so the same estimate to the bit.
+    for d in (2, 3):
+        for kind, state in (("antisym_optimal", uniform_antisymmetric_state), ("symmetric", uniform_symmetric_state)):
+            strategy = make_strategy(kind, state(d))
+            for n in (2, 65, 130):
+                got = average_success_mc(strategy, n, np.random.default_rng(n))
+                chunks = _haar_chunks(d, n, np.random.default_rng(n), copies=2)
+                want = _mc_mean(comparator._p_diff(strategy, u, v) for u, v in chunks)
+                assert (got.mean, got.std_error) == (want.mean, want.std_error)
+
+
+def test_haar_chunks_reject_a_chunk_with_one_non_unitary_slice(monkeypatch):
+    # The stacked unitarity check is live: one slice off by 1e-9 in scale fails it.
+    qr = np.linalg.qr
+
+    def skewed(a):
+        q, r = qr(a)
+        q[len(q) // 2] *= 1 + 1e-9
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", skewed)
+    for copies in (1, 2):
+        with pytest.raises(ValueError, match="not unitary within tolerance"):
+            next(_haar_chunks(3, 10, np.random.default_rng(0), copies))
 
 
 def test_trace_second_moment():
