@@ -217,23 +217,17 @@ def cmd_twirl_verify(args) -> tuple[dict, list[dict]]:
         "ket01_bra10": basis_op(1, d),
         "random_hermitian": herm,
     }
-    # One estimate, the twirl's Choi operator C = E |w><w| with w = vec(K^T), K = U (x) U,
-    # gives every battery twirl by the Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb).
-    pair_choi = _twirl_choi_mc(d, args.n_samples, rng)
-    means = np.tensordot(np.stack(list(battery.values())), pair_choi.reshape(dd, dd, dd, dd), axes=([1, 2], [0, 2]))
-    rows = []
-    for (name, op), mean in zip(battery.items(), means):
-        dev = max_abs(mean - twirl_exact(op))
-        rows.append({"check": f"mc_vs_exact[{name}]", "residual": float(dev)})
-    # The exact operator is PSD by construction: filled, subtracted in place, never validated here.
-    pair_choi -= _twirl_choi_fill(d)
-    rows.append({"check": "pair_choi_mc_vs_twirl_choi", "residual": max_abs(pair_choi)})
-
+    # D = C_mc - C, the Monte Carlo twirl Choi estimate less the exact C (filled, PSD by
+    # construction, never validated here).  The Choi action T(Y)_ab = sum_ij Y_ij D_(ia),(jb)
+    # is then each battery twirl's Monte Carlo error, since on C it is twirl_exact(Y).
+    resid = _twirl_choi_mc(d, args.n_samples, rng)
+    resid -= _twirl_choi_fill(d)
+    devs = np.tensordot(np.stack(list(battery.values())), resid.reshape(dd, dd, dd, dd), axes=([1, 2], [0, 2]))
+    rows = [{"check": f"mc_vs_exact[{name}]", "residual": max_abs(dev)} for name, dev in zip(battery, devs)]
     once = twirl_exact(herm)
-    rows.append({"check": "exact_idempotent", "residual": float(max_abs(twirl_exact(once) - once))})
-    rows.append(
-        {"check": "exact_trace_preserving", "residual": float(abs(np.trace(once) - np.trace(herm)))}
-    )
+    rows += [{"check": "pair_choi_mc_vs_twirl_choi", "residual": max_abs(resid)},
+             {"check": "exact_idempotent", "residual": max_abs(twirl_exact(once) - once)},
+             {"check": "exact_trace_preserving", "residual": float(abs(np.trace(once) - np.trace(herm)))}]
     return {"rows": rows}, rows
 
 
@@ -245,15 +239,14 @@ def cmd_witness(args) -> tuple[dict, list[dict]]:
         u, v = sequential_witness(w, r)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    w_sq = UnitaryOp(w.mat @ w.mat)
-    uv = UnitaryOp(u.mat @ v.mat)
-    product_residual = float(max_abs(uv.mat - w_sq.mat))
-    # The Choi operators |x><x| and |y><y| of the two composites, unchecked: rank one and PSD by
-    # construction.  Compared d rows at a time, so no d^2 x d^2 array is held.
-    x, y = _pair_output_vec(uv.mat), _pair_output_vec(w_sq.mat)
+    # U V and W^2 are products of checked gates, not checked again; their Choi operators |x><x|, |y><y|
+    # are rank one and PSD by construction, compared d rows at a time, so no d^2 x d^2 array is held.
+    uv, w_sq = u @ v, w.mat @ w.mat
+    product_residual = max_abs(uv - w_sq)
+    x, y = _pair_output_vec(uv), _pair_output_vec(w_sq)
     xc, yc = x.conj(), y.conj()
     choi_residual = max(max_abs(np.outer(x[i:i + d], xc) - np.outer(y[i:i + d], yc)) for i in range(0, d * d, d))
-    body = {"u": matrix_to_json(u.mat), "v": matrix_to_json(v.mat),
+    body = {"u": matrix_to_json(u), "v": matrix_to_json(v),
             "product_residual": product_residual, "choi_residual": choi_residual}
     return body, [{"d": d, "product_residual": product_residual, "choi_residual": choi_residual}]
 

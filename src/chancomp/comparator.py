@@ -368,15 +368,17 @@ def identity_phase_gap(r: UnitaryOp) -> float:
     return math.sqrt(max(0.0, 2.0 * (d - abs(np.trace(r.mat)))))
 
 
-def sequential_witness(w: UnitaryOp, r: UnitaryOp) -> tuple[UnitaryOp, UnitaryOp]:
-    """Unitaries U = W R and V = R^dagger W, both distinct from W, with U V = W^2.
+def sequential_witness(w: UnitaryOp, r: UnitaryOp) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices U = W R and V = R^dagger W, both distinct from W, with U V = W^2.
 
     Sequential (one-after-the-other) use of the two boxes therefore cannot
     reveal whether they are equal: the composed channels of (U, V) and
     (W, W) coincide.  r may not be a global-phase multiple of the identity.
+    U and V are not checked again: a product of two unitaries that pass at
+    ATOL can sit about twice as far from unitary, beyond ATOL.
     """
     if w.dim != r.dim:
         raise DimensionMismatchError(f"dims {w.dim} and {r.dim} differ")
     if identity_phase_gap(r) <= STRUCT_ATOL:
         raise ValueError("r equals the identity up to a global phase")
-    return UnitaryOp(w.mat @ r.mat), UnitaryOp(r.mat.conj().T @ w.mat)
+    return w.mat @ r.mat, r.mat.conj().T @ w.mat

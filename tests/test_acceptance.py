@@ -214,6 +214,6 @@ def test_criterion_10_sequential_witness():
             for _ in range(10):
                 w, r = haar_sample(d, rng), haar_sample(d, rng)
                 u, v = sequential_witness(w, r)
-                uv = UnitaryOp(u.mat @ v.mat)
+                uv = UnitaryOp(u @ v)
                 ww = UnitaryOp(w.mat @ w.mat)
                 assert max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat) <= 1e-10

@@ -16,7 +16,7 @@ from chancomp.comparator import ComparisonReport, sequential_witness, twirl_choi
 from chancomp.haar import _twirl_choi_mc, haar_sample, twirl_exact, twirl_mc
 from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import UnitaryOp, choi_of_unitary
-from chancomp.symmetry import projector
+from chancomp.symmetry import _twirl_choi_fill, projector
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -409,6 +409,33 @@ def test_twirl_verify(tmp_path):
         assert value <= 0.2, name
 
 
+def battery(d, herm):
+    """twirl-verify's seven battery operators, herm the random Hermitian one."""
+    p_plus, p_minus = projector(d, 1), projector(d, -1)
+    ops = {"identity": np.eye(d * d), "swap": p_plus - p_minus, "p_plus": p_plus, "p_minus": p_minus,
+           "random_hermitian": herm}
+    for name, (row, col) in (("ket01_proj", (1, 1)), ("ket01_bra10", (1, d))):
+        ops[name] = np.zeros((d * d, d * d), dtype=complex)
+        ops[name][row, col] = 1.0
+    return ops
+
+
+def test_twirl_choi_fill_acts_as_twirl_exact():
+    # twirl-verify reads each mc_vs_exact row off the one residual against the filled
+    # Choi operator C, so the Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb) of the fill
+    # must be twirl_exact(Y): on the battery and on a random complex Y.
+    rng = np.random.default_rng(61)
+    for d in range(2, 7):
+        dd = d * d
+        h = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        ops = battery(d, (h + h.conj().T) / 2)
+        ops["random_complex"] = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        choi = _twirl_choi_fill(d).reshape(dd, dd, dd, dd)
+        for name, y in ops.items():
+            action = np.tensordot(y, choi, axes=([0, 1], [0, 2]))
+            assert max_abs(action - twirl_exact(y)) <= 1e-14 * max(1.0, max_abs(y)), (d, name)
+
+
 def test_twirl_verify_draws_n_unitaries(tmp_path, monkeypatch):
     # After the herm draw, twirl-verify uses the stream exactly as n haar_sample
     # calls in turn: it leaves its generator where a reference generator stands
@@ -427,12 +454,7 @@ def test_twirl_verify_draws_n_unitaries(tmp_path, monkeypatch):
         assert len(payload["rows"]) == 10
         rng = np.random.default_rng(5)
         h = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-        p_plus, p_minus = projector(d, 1), projector(d, -1)
-        ops = {"identity": np.eye(d * d), "swap": p_plus - p_minus, "p_plus": p_plus, "p_minus": p_minus,
-               "random_hermitian": (h + h.conj().T) / 2}
-        for name, (row, col) in (("ket01_proj", (1, 1)), ("ket01_bra10", (1, d))):
-            ops[name] = np.zeros((d * d, d * d), dtype=complex)
-            ops[name][row, col] = 1.0
+        ops = battery(d, (h + h.conj().T) / 2)
         twirled = {name: np.zeros((d * d, d * d), dtype=complex) for name in ops}
         choi = np.zeros((d**4, d**4), dtype=complex)
         for _ in range(n):
@@ -491,9 +513,10 @@ def test_pair_choi_mean_matches_per_draw_outer_products():
 
 
 def test_twirl_verify_holds_at_most_two_and_a_half_doubled_space_arrays():
-    # At d=6 the pair-Choi estimate and the tensordot's transposed copy of it are two
-    # d^4 x d^4 complex arrays (26.9 MB each); the exact twirl Choi operator is filled,
-    # subtracted in place and freed, never validated, so the peak stays below 2.5.
+    # At d=6 the pair-Choi estimate is held with one more d^4 x d^4 complex array
+    # (26.9 MB each) at a time: first the exact twirl Choi operator, filled, subtracted in
+    # place and freed, never validated; then the tensordot's transposed copy of the
+    # residual.  So the peak stays below 2.5.
     assert traced_peak(["twirl-verify", "--n", "2", "--seed", "5"], 6) <= 2.5 * 6**8 * 16
 
 
@@ -517,6 +540,23 @@ def test_witness(tmp_path):
     assert payload["choi_residual"] <= 1e-10
 
     assert main(["witness", "--d", "2", "--w", "hadamard", "--r", "identity"]) == 2
+
+
+def test_witness_accepts_gates_that_resolve_gate_accepts(tmp_path):
+    # W and R each sit 9.0e-11 from unitary, inside ATOL, so resolve_gate takes them.
+    # W^2, W R and R^dag W sit about twice as far; they are products of checked
+    # gates and are not checked again.
+    paths = {}
+    for name, mat in (("w", np.diag([1 + 4.5e-11, 1])), ("r", np.diag([1 + 4.5e-11, -1]))):
+        assert max_abs(mat.conj().T @ mat - np.eye(2)) <= 1e-10
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(matrix_to_json(mat)))
+    rc, payload = run_json(tmp_path, ["witness", "--d", "2", "--w", f"@{paths['w']}", "--r", "pauli-z"])
+    assert rc == 0
+    assert payload["product_residual"] <= 1e-15
+    assert payload["choi_residual"] <= 1e-15
+    rc, payload = run_json(tmp_path, ["witness", "--d", "2", "--w", f"@{paths['w']}", "--r", f"@{paths['r']}"])
+    assert rc == 0
 
 
 def test_witness_builds_no_d2_by_d2_array():
@@ -554,7 +594,7 @@ def test_witness_choi_residual_matches_dense_choi_oracle(tmp_path):
         assert rc == 0
         w = resolve_gate(w_spec, d)
         u, v = sequential_witness(w, resolve_gate(r_spec, d))
-        uv, ww = UnitaryOp(u.mat @ v.mat), UnitaryOp(w.mat @ w.mat)
+        uv, ww = UnitaryOp(u @ v), UnitaryOp(w.mat @ w.mat)
         assert payload["choi_residual"] == max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat)
 
 

@@ -669,6 +669,8 @@ def test_random_unambiguous_ppovm_degenerate_rho():
     ppovm = random_unambiguous_ppovm(2, rng, rho=QState(SINGLET, [2, 2]))
     assert max_abs(ppovm.elements["diff"]) <= 1e-9
     assert np.trace(ppovm.elements["diff"]).real / 4 <= 1e-9
+    with pytest.raises(DimensionMismatchError):
+        random_unambiguous_ppovm(2, rng, rho=QState(np.eye(9) / 9))
 
 
 def test_max_psd_scale_monotone_case():
@@ -795,9 +797,9 @@ def test_sequential_witness_identity_case():
     w = UnitaryOp(np.eye(2))
     r = UnitaryOp(SX)
     u, v = sequential_witness(w, r)
-    assert max_abs(u.mat - SX) <= 1e-12
-    assert max_abs(v.mat - SX) <= 1e-12
-    assert max_abs(u.mat @ v.mat - np.eye(2)) <= 1e-12
+    assert max_abs(u - SX) <= 1e-12
+    assert max_abs(v - SX) <= 1e-12
+    assert max_abs(u @ v - np.eye(2)) <= 1e-12
 
 
 def test_sequential_witness_random_pairs():
@@ -806,14 +808,26 @@ def test_sequential_witness_random_pairs():
         for _ in range(10):
             w, r = haar_sample(d, rng), haar_sample(d, rng)
             u, v = sequential_witness(w, r)
-            assert max_abs(u.mat @ v.mat - w.mat @ w.mat) <= 1e-10
+            assert max_abs(u @ v - w.mat @ w.mat) <= 1e-10
             # both factors genuinely differ from w (up to global phase)
-            assert identity_phase_gap(UnitaryOp(w.mat.conj().T @ u.mat)) > 1e-6
-            assert identity_phase_gap(UnitaryOp(w.mat.conj().T @ v.mat)) > 1e-6
+            assert identity_phase_gap(UnitaryOp(w.mat.conj().T @ u)) > 1e-6
+            assert identity_phase_gap(UnitaryOp(w.mat.conj().T @ v)) > 1e-6
             # and the composed channels are indistinguishable
-            uv = UnitaryOp(u.mat @ v.mat)
+            uv = UnitaryOp(u @ v)
             ww = UnitaryOp(w.mat @ w.mat)
             assert max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat) <= 1e-10
+
+
+def test_sequential_witness_does_not_recheck_its_products():
+    # W sits 9.0e-11 from unitary, inside ATOL; W^2 and the products sit about
+    # twice as far, and come back as plain arrays all the same.
+    w = UnitaryOp(np.diag([1 + 4.5e-11, 1]))
+    u, v = sequential_witness(w, UnitaryOp(np.diag([1.0, -1.0])))
+    assert isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
+    assert max_abs(u @ v - w.mat @ w.mat) <= 1e-15
+    r = UnitaryOp(np.diag([1 + 4.5e-11, -1]))
+    u, v = sequential_witness(w, r)
+    assert np.array_equal(u, w.mat @ r.mat) and np.array_equal(v, r.mat.conj().T @ w.mat)
 
 
 def test_sequential_witness_rejects_identity_r():

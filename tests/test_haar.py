@@ -35,6 +35,10 @@ def test_haar_sample_unitarity():
         u = haar_sample(d, rng).mat
         assert max_abs(u.conj().T @ u - np.eye(d)) <= 1e-10
         assert np.allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-10)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        haar_sample(0, rng)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        next(_haar_chunks(0, 1, rng))
 
 
 def test_haar_sample_d1_is_phase():

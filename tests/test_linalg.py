@@ -41,6 +41,10 @@ def test_tensor_identities():
     assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
     got = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.array_equal(got, np.diag([3.0, 4.0, 6.0, 8.0]))
+    with pytest.raises(ValueError, match="at least one factor"):
+        tensor()
+    with pytest.raises(ValueError, match="expected a matrix"):
+        tensor(np.zeros(3))
 
 
 def test_tensor_sigma_x_pair_maps_00_to_11():
@@ -99,6 +103,7 @@ def test_is_psd():
     assert not is_psd(-np.eye(3))
     with pytest.raises(ValueError):
         is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert not linalg.is_hermitian(np.zeros((2, 3)))
 
 
 def eigvalsh_is_psd(m):
@@ -194,6 +199,8 @@ def test_trace_identities():
     x, y = random_matrix(rng, 5), random_matrix(rng, 5)
     assert abs(np.trace(x @ y) - np.trace(y @ x)) <= 1e-10
     assert abs(trace_product(x, y) - np.trace(x @ y)) <= 1e-10
+    with pytest.raises(linalg.DimensionMismatchError):
+        trace_product(np.eye(2), np.eye(3))
     a, b = random_matrix(rng, 2), random_matrix(rng, 3)
     assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) <= 1e-10
 

@@ -249,6 +249,8 @@ def test_choi_validation():
         ChoiOp(np.eye(4), 2)  # trace 4, expected 2
     with pytest.raises(ValueError):
         ChoiOp(-np.outer(PAIR_VEC_2, PAIR_VEC_2), 2)
+    with pytest.raises(DimensionMismatchError):
+        ChoiOp(np.eye(3), 2)
 
 
 def with_entry(m, value):
