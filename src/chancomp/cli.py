@@ -30,12 +30,11 @@ import numpy as np
 
 from . import __version__
 from .comparator import (
-    DIFF,
+    _random_unambiguous_draw,
     average_success,
     average_success_mc,
     make_strategy,
     overall_success,
-    random_unambiguous_ppovm,
     run_pair,
     sequential_witness,
     success_bound,
@@ -56,6 +55,7 @@ class InvariantViolation(Exception):
 
 # Bytes allowed for a d^2 x d^2 complex array under compare and witness (compare's largest array,
 # its (d(d-1)/2, d, d) factor, is half that), d^4 x d^4 under bound-scan and twirl-verify.
+# bound-scan holds only m x m arrays, m = 2 d+ d-, yet keeps d <= 8: past it a draw takes minutes.
 _MAX_ARRAY_BYTES = 2**28
 
 
@@ -173,8 +173,9 @@ def cmd_bound_scan(args) -> tuple[dict, list[dict]]:
     max_success = 0.0
     violations = 0
     for _ in range(args.n_samples):
-        ppovm = random_unambiguous_ppovm(d, rng)
-        success = float(np.trace(ppovm.elements[DIFF]).real) / (d * d)
+        # Certified in the cross subspace: tr(M_diff) = lambda tr(G), and no d^4 x d^4 element is formed.
+        _, gram, lam = _random_unambiguous_draw(d, rng)
+        success = lam * float(np.trace(gram).real) / (d * d)
         max_success = max(max_success, success)
         if not (success <= bound + SUM_ATOL):
             violations += 1

@@ -264,8 +264,8 @@ def max_psd_scale(base: np.ndarray, k: np.ndarray) -> float:
     """Largest s such that base - s*k stays PSD within ATOL, by bisection to width ATOL.
 
     k must have unit spectral norm and base spectral norm at most 1 so that
-    s = 2 is always infeasible; the returned value was explicitly verified
-    feasible.
+    s = 2 is always infeasible.  A positive return value was checked feasible;
+    0 is returned unchecked when no midpoint was, so base itself must be PSD.
     """
     lo, hi = 0.0, 2.0
     while not (hi - lo <= ATOL):
@@ -301,18 +301,18 @@ def _cross_schur_complement(rho_t: np.ndarray, bp: np.ndarray, bm: np.ndarray) -
     return sigma
 
 
-def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | None = None) -> Ppovm:
-    """Random PPOVM satisfying every unambiguity constraint by construction.
+def _random_unambiguous_draw(d: int, rng: np.random.Generator,
+                             rho: QState | None = None) -> tuple[QState, np.ndarray, float]:
+    """(rho, G, lambda) of one random unambiguous PPOVM M_diff = lambda C G C^dag, not formed.
 
-    M_diff = lambda * K with K = C G C^dag a random PSD operator supported on
-    the symmetric/antisymmetric cross subspace S (orthogonal to the twirl
-    Choi support), C the isometry onto S and G an m x m Gram matrix,
-    m = 2 d+ d-.  lambda is maximal under positivity of the inconclusive
-    element rho^T (x) I - lambda K, which holds exactly when sigma - lambda G
-    is PSD, sigma the m-dim Schur complement of rho^T (x) I onto S; the
-    bisection runs on that pair.  The returned Ppovm re-checks every element
-    on the full space.  rho defaults to a random full-rank two-qudit state; a
-    rank-deficient rho misaligned with K degenerates to lambda = 0.
+    C = [B+ (x) B-, B- (x) B+] is the isometry onto the cross subspace S, orthogonal to the twirl
+    Choi support, and G a random m x m Gram matrix of unit spectral norm, m = 2 d+ d-, so
+    tr M_diff = lambda tr G.  lambda is bisected to the largest scale with sigma - lambda G >= -ATOL,
+    sigma the shorted operator of rho^T (x) I onto S.  That is positivity of rho^T (x) I - M_diff
+    (Anderson & Trapp, SIAM J. Appl. Math. 28 (1975)) if sigma's pseudo-inverse drops no
+    eigenvalue of Y^dag (rho^T (x) I) Y, Y onto S's complement.  Those are >= lambda_min(rho), so
+    the default rho, drawn full rank, must have lambda_min(rho) > ATOL, else ValueError.  A given
+    rho is not checked; a rank-deficient one misaligned with G gives lambda = 0.
     """
     bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
     dd = d * d
@@ -320,23 +320,30 @@ def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | Non
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         mat = g @ g.conj().T
         rho = QState(mat / np.trace(mat).real, [d, d])
+        if not (np.linalg.eigvalsh(rho.mat)[0] > ATOL):
+            raise ValueError(f"drawn reference state has lambda_min <= {ATOL:.0e}: not full rank")
     elif rho.dim != dd:
         raise DimensionMismatchError(f"rho must live on two qudits of dim {d}")
 
-    # Columns span {|s_j, a_n>, |a_n, s_j>}; kron acts columnwise.
-    cross = np.hstack([tensor(bp, bm), tensor(bm, bp)])
-    m = cross.shape[1]
+    m = 2 * bp.shape[1] * bm.shape[1]
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     gram = g @ g.conj().T
     gram /= float(np.linalg.eigvalsh(gram)[-1])
+    return rho, gram, max_psd_scale(_cross_schur_complement(rho.mat.T, bp, bm), gram)
 
-    lam = max_psd_scale(_cross_schur_complement(rho.mat.T, bp, bm), gram)
-    m_diff = cross @ gram @ cross.conj().T
+
+def random_unambiguous_ppovm(d: int, rng: np.random.Generator, rho: QState | None = None) -> Ppovm:
+    """One _random_unambiguous_draw (see there, also for rho) as a dense Ppovm, both elements checked.
+
+    The full-space oracle for the reduced certificate that bound-scan reads.
+    """
+    rho, gram, lam = _random_unambiguous_draw(d, rng, rho)
+    bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
+    # Columns span {|s_j, a_n>, |a_n, s_j>}; kron acts columnwise.
+    cross = np.hstack([tensor(bp, bm), tensor(bm, bp)])
+    m_diff = lam * (cross @ gram @ cross.conj().T)
     del cross  # (d^4, m), read no more: freed before the Ppovm checks' peak
-    m_diff *= lam
-    inconclusive = tensor(rho.mat.T, np.eye(dd))
-    inconclusive -= m_diff
-    return Ppovm({DIFF: m_diff, INCONCLUSIVE: inconclusive}, rho)
+    return Ppovm({DIFF: m_diff, INCONCLUSIVE: tensor(rho.mat.T, np.eye(d * d)) - m_diff}, rho)
 
 
 def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:

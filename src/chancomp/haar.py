@@ -150,13 +150,6 @@ def twirl_exact(y) -> np.ndarray:
     return _identity_swap_sum(d, (w_plus + w_minus) / 2, (w_plus - w_minus) / 2)
 
 
-def twirl_mc(y, n: int, rng: np.random.Generator) -> McEstimate:
-    """Monte Carlo estimate of the two-copy twirl of Y."""
-    m = _square(y)
-    d = qudit_dim(m.shape[0])
-    return _mc_mean(_conjugate_stack(kron_stack(u, u), m) for (u,) in _haar_chunks(d, n, rng))
-
-
 def _twirl_choi_mc(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo estimate of the twirl's Choi operator, the mean of |w><w| over identical pairs (U, U).
 

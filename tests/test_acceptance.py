@@ -21,11 +21,11 @@ from chancomp.comparator import (
     twirl_choi,
     uniqueness_probe,
 )
-from chancomp.haar import average_channel_exact, average_channel_mc, haar_sample, twirl_exact, twirl_mc
+from chancomp.haar import average_channel_exact, average_channel_mc, haar_sample, twirl_exact
 from chancomp.linalg import max_abs, trace_product
 from chancomp.qobj import QState, UnitaryOp, choi_of_unitary, outcome_probability, ppovm_from_experiment
 from chancomp.symmetry import random_antisymmetric_state, random_symmetric_state
-from dense_oracle import dense_ppovm
+from dense_oracle import dense_ppovm, twirl_mc
 
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 P_MINUS_2 = np.outer(SINGLET_VEC, SINGLET_VEC.conj())

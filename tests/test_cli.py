@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,15 +9,23 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import chancomp
-from chancomp import cli, haar, qobj
+from chancomp import cli, comparator, haar, qobj
 from chancomp.cli import main, resolve_gate
-from chancomp.comparator import ComparisonReport, sequential_witness, twirl_choi
-from chancomp.haar import _twirl_choi_mc, haar_sample, twirl_exact, twirl_mc
-from chancomp.linalg import DimensionMismatchError, matrix_to_json, max_abs
-from chancomp.qobj import UnitaryOp, choi_of_unitary
-from chancomp.symmetry import _twirl_choi_fill, projector
+from chancomp.comparator import (
+    ComparisonReport,
+    _cross_schur_complement,
+    random_unambiguous_ppovm,
+    sequential_witness,
+    twirl_choi,
+)
+from chancomp.haar import _twirl_choi_mc, haar_sample, twirl_exact
+from chancomp.linalg import ATOL, DimensionMismatchError, matrix_to_json, max_abs
+from chancomp.qobj import Ppovm, UnitaryOp, choi_of_unitary
+from chancomp.symmetry import _twirl_choi_fill, eigenbasis, projector
+from dense_oracle import cross_isometry, twirl_mc
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -287,19 +296,19 @@ def test_bound_scan_violation_writes_nothing(monkeypatch, tmp_path, capsys):
 def test_library_value_error_exits_4(monkeypatch, capsys):
     # A failed construction-time check inside a command is a broken
     # invariant: exit 4 with one line, no traceback, nothing on stdout.
-    def broken_ppovm(d, rng, rho=None):
-        raise ValueError("element 'inconclusive' is not positive semidefinite")
+    def broken_draw(d, rng, rho=None):
+        raise ValueError("drawn reference state has lambda_min <= 1e-10: not full rank")
 
-    monkeypatch.setattr(cli, "random_unambiguous_ppovm", broken_ppovm)
+    monkeypatch.setattr(cli, "_random_unambiguous_draw", broken_draw)
     assert main(["bound-scan", "--d", "2", "--n", "3"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invariant violation:") and "Traceback" not in err
 
-    def mismatched_ppovm(d, rng, rho=None):
+    def mismatched_draw(d, rng, rho=None):
         raise DimensionMismatchError("rho must live on two qudits of dim 2")
 
-    monkeypatch.setattr(cli, "random_unambiguous_ppovm", mismatched_ppovm)
+    monkeypatch.setattr(cli, "_random_unambiguous_draw", mismatched_draw)
     assert main(["bound-scan", "--d", "2", "--n", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("dimension error:")
@@ -394,6 +403,67 @@ def test_bound_scan(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scan_draws():
+    """Seeded bound-scan runs at d=2..5: (d, seed, max_success, the (rho, gram, lam) of each draw)."""
+    runs, draws = [], []
+
+    def recorded(d, rng, rho=None):
+        draws.append(comparator._random_unambiguous_draw(d, rng, rho))
+        return draws[-1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(cli, "_random_unambiguous_draw", recorded)
+        for d, n in ((2, 4), (3, 3), (4, 2), (5, 1)):
+            for seed in (0, 1, 2):
+                _, rows = cli.cmd_bound_scan(argparse.Namespace(d=d, n_samples=n, seed=seed))
+                runs.append((d, seed, rows[0]["max_success"], list(draws)))
+                draws.clear()
+    return runs
+
+
+def test_bound_scan_success_is_the_dense_ppovm_trace_on_every_draw(scan_draws):
+    # bound-scan reads lambda tr(G) / d^2 off each draw.  The dense Ppovm built from the
+    # same seed is the oracle: it constructs, so both d^4 x d^4 elements pass their checks.
+    for d, seed, max_success, draws in scan_draws:
+        twin = np.random.default_rng(seed)
+        successes = []
+        for rho, gram, lam in draws:
+            ppovm = random_unambiguous_ppovm(d, twin)
+            assert np.array_equal(ppovm.rho.mat, rho.mat)
+            success = lam * float(np.trace(gram).real) / (d * d)
+            dense = float(np.trace(ppovm.elements["diff"]).real) / (d * d)
+            assert abs(success - dense) <= 1e-15 * dense, (d, seed)
+            assert np.linalg.eigvalsh(ppovm.elements["inconclusive"])[0] >= -ATOL
+            successes.append(success)
+        assert max_success == max(successes)
+
+
+def test_lambda_one_part_per_million_too_large_fails_both_certificates(scan_draws):
+    # The mutant lambda' = lambda (1 + 1e-6) on the seeded draws.  The bisection brackets
+    # the boundary to ATOL and lambda_min(sigma - s G) falls with s, so a mutant beyond the
+    # bracket (1e-6 lambda > ATOL) fails the reduced criterion.  On the full space the
+    # excess is spread over the complement of the cross subspace too, and the dense check
+    # missed seeded draws with lambda up to 2.1e-4 at d=3..5, so it is held to lambda >= 1e-3.
+    # A smaller lambda moves M_diff by less than either check's tolerance can resolve.
+    reduced = dense = 0
+    for d, _, _, draws in scan_draws:
+        bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
+        cross = cross_isometry(bp, bm)
+        for rho, gram, lam in draws:
+            mutant = lam * (1 + 1e-6)
+            if 1e-6 * lam > ATOL:
+                reduced += 1
+                sigma = _cross_schur_complement(rho.mat.T, bp, bm)
+                assert np.linalg.eigvalsh(sigma - mutant * gram)[0] < -ATOL, d
+            if lam >= 1e-3:
+                dense += 1
+                m_diff = mutant * (cross @ gram @ cross.conj().T)
+                with pytest.raises(ValueError, match="'inconclusive' is not positive semidefinite"):
+                    Ppovm({"diff": m_diff, "inconclusive": np.kron(rho.mat.T, np.eye(d * d)) - m_diff}, rho)
+    assert (reduced, dense) == (28, 22)
 
 
 def test_twirl_verify(tmp_path):
@@ -520,12 +590,12 @@ def test_twirl_verify_holds_at_most_two_and_a_half_doubled_space_arrays():
     assert traced_peak(["twirl-verify", "--n", "2", "--seed", "5"], 6) <= 2.5 * 6**8 * 16
 
 
-def test_bound_scan_holds_at_most_four_and_three_quarter_doubled_space_arrays():
-    # A d=4 draw holds its two elements (1 MiB each), each formed in place, and the
-    # shifted copy and Cholesky factor of one PSD check at a time; the (256, 120)
-    # cross-subspace isometry is freed once M_diff is formed, and the one
-    # normalisation residual comes after both checks.
-    assert traced_peak(["bound-scan", "--n", "1", "--seed", "5"], 4) <= 4.75 * 4**8 * 16
+def test_bound_scan_holds_at_most_one_and_a_quarter_doubled_space_arrays():
+    # A d=4 draw is certified in the m = 120 dimensional cross subspace and forms no
+    # d^4 x d^4 (1 MiB) array: its peak is five m x m arrays, 0.22 of one each (the
+    # random factor, the Gram matrix, the shorted operator, and one bisection step's
+    # scaled Gram matrix and difference), 1.11 in all.
+    assert traced_peak(["bound-scan", "--n", "1", "--seed", "5"], 4) <= 1.25 * 4**8 * 16
 
 
 def test_witness(tmp_path):

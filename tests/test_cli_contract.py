@@ -19,8 +19,8 @@ from chancomp.linalg import matrix_to_json
 CASES = 300
 COMMANDS = ("compare", "success-table", "bound-scan", "twirl-verify", "witness")
 DIMS = (1, 2, 3, 4, 5, 9, 65)
-# A random PPOVM takes about 75 ms at d=4 and 0.6 s at d=5, so bound-scan runs at most
-# two of them at d=4 and none at d=5 (CI's seeded scan5 runs one).
+# A bound-scan draw takes about 50 ms at d=4 and 0.46 s at d=5 on one BLAS thread, so
+# bound-scan runs at most two of them at d=4 and none at d=5 (CI's seeded scan5 runs one).
 BOUND_SCAN_DIMS = (1, 2, 3, 4, 9, 65)
 SAMPLES = (0, 1, 2, 5, 20)
 SEEDS = (0, 5, 2**40)

@@ -9,6 +9,7 @@ from chancomp.comparator import (
     INCONCLUSIVE,
     Strategy,
     _cross_schur_complement,
+    _random_unambiguous_draw,
     average_success,
     average_success_mc,
     identity_phase_gap,
@@ -43,7 +44,7 @@ from chancomp.symmetry import (
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
-from dense_oracle import dense_ppovm, swap_effects, twirl_choi_projector_form
+from dense_oracle import cross_isometry, dense_ppovm, swap_effects, twirl_choi_projector_form
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SINGLET_VEC = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -673,6 +674,18 @@ def test_random_unambiguous_ppovm_degenerate_rho():
         random_unambiguous_ppovm(2, rng, rho=QState(np.eye(9) / 9))
 
 
+def test_default_draw_refuses_a_reference_state_without_full_rank():
+    # The cross-subspace certificate needs lambda_min(rho) > ATOL.  A generator whose
+    # normal draws are all ones makes the default rho = ones / d^2, of rank one.
+    class AllOnes:
+        def normal(self, size):
+            return np.ones(size)
+
+    for draw in (_random_unambiguous_draw, random_unambiguous_ppovm):
+        with pytest.raises(ValueError, match="lambda_min"):
+            draw(2, AllOnes())
+
+
 def test_max_psd_scale_monotone_case():
     # base = I, k = diag(1, 1/2): the exact maximum is 1.
     base = np.eye(2, dtype=complex)
@@ -681,35 +694,18 @@ def test_max_psd_scale_monotone_case():
     assert abs(lam - 1.0) <= 1e-9
 
 
-def _cross_isometry(bp, bm):
-    return np.hstack([np.kron(bp, bm), np.kron(bm, bp)])
-
-
-def _redraw_inputs(d, rng, rho=None):
-    """The rho and normalised Gram matrix random_unambiguous_ppovm draws from rng."""
-    dd = d * d
-    if rho is None:
-        g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
-        mat = g @ g.conj().T
-        rho = QState(mat / np.trace(mat).real, [d, d])
-    m = 2 * (d * (d + 1) // 2) * (d * (d - 1) // 2)
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    gram = g @ g.conj().T
-    return rho, gram / np.linalg.eigvalsh(gram)[-1]
-
-
 def _check_against_full_space_oracle(d, draws, seed, rho=None):
-    # Differential test: the bisection on the m-dim Schur complement against
-    # the same bisection on the d^4-dim operator rho^T (x) I - s K.
+    # Differential test: the draw's bisection on the m-dim Schur complement against
+    # the same bisection on the d^4-dim operator rho^T (x) I - s K, and the dense
+    # PPOVM built from the same seed against lambda K.
     bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
-    cross = _cross_isometry(bp, bm)
+    cross = cross_isometry(bp, bm)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(draws):
         ppovm = random_unambiguous_ppovm(d, rng, rho=rho)
-        drawn_rho, gram = _redraw_inputs(d, twin, rho)
+        drawn_rho, gram, lam = _random_unambiguous_draw(d, twin, rho)
         k = cross @ gram @ cross.conj().T
         oracle = max_psd_scale(tensor(drawn_rho.mat.T, np.eye(d * d)), k)
-        lam = max_psd_scale(_cross_schur_complement(drawn_rho.mat.T, bp, bm), gram)
         assert lam <= oracle
         assert oracle - lam <= 1e-8
         assert max_abs(ppovm.elements["diff"] - lam * k) <= 1e-12
@@ -745,7 +741,7 @@ def test_cross_schur_complement_matches_dense_shorted_operator():
         g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         rho_t = (g @ g.conj().T / np.trace(g @ g.conj().T).real).T
         b = tensor(rho_t, np.eye(dd))
-        c = _cross_isometry(bp, bm)
+        c = cross_isometry(bp, bm)
         y = np.hstack([np.kron(bp, bp), np.kron(bm, bm)])
         cb, yb = c.conj().T @ b, y.conj().T @ b
         dense = cb @ c - cb @ y @ np.linalg.pinv(yb @ y) @ yb @ c

@@ -14,11 +14,10 @@ from chancomp.haar import (
     average_channel_mc,
     haar_sample,
     twirl_exact,
-    twirl_mc,
 )
 from chancomp.linalg import DimensionMismatchError, max_abs
 from chancomp.symmetry import uniform_antisymmetric_state, uniform_symmetric_state
-from dense_oracle import swap_effects
+from dense_oracle import swap_effects, twirl_mc
 
 
 def swap_by_hand(d):
