@@ -13,13 +13,11 @@ from .comparator import (
     run_pair,
     sequential_witness,
     success_bound,
-    twirl_choi,
     uniqueness_probe,
     verify_no_error,
 )
 from .haar import McEstimate, average_channel_exact, average_channel_mc, haar_sample, twirl_exact
 from .qobj import (
-    ChoiOp,
     Ppovm,
     QState,
     UnitaryOp,
@@ -32,6 +30,7 @@ from .symmetry import (
     projector,
     random_antisymmetric_state,
     random_symmetric_state,
+    twirl_choi,
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
@@ -39,7 +38,6 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChoiOp",
     "ComparisonReport",
     "McEstimate",
     "NoErrorReport",

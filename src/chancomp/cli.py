@@ -42,7 +42,7 @@ from .comparator import (
 from .haar import _twirl_choi_mc, twirl_exact
 from .linalg import SUM_ATOL, DimensionMismatchError, matrix_from_json, matrix_to_json, max_abs
 from .qobj import UnitaryOp, _pair_output_vec
-from .symmetry import _twirl_choi_fill, _uniform_factor, projector
+from .symmetry import _uniform_factor, projector, twirl_choi
 
 
 class UsageError(Exception):
@@ -54,8 +54,8 @@ class InvariantViolation(Exception):
 
 
 # Bytes allowed for a d^2 x d^2 complex array under compare and witness (compare's largest array,
-# its (d(d-1)/2, d, d) factor, is half that), d^4 x d^4 under bound-scan and twirl-verify.
-# bound-scan holds only m x m arrays, m = 2 d+ d-, yet keeps d <= 8: past it a draw takes minutes.
+# its (d(d-1)/2, d, d) factor, is half that), d^4 x d^4 under twirl-verify.  bound-scan holds only
+# m x m arrays, m = 2 d+ d-, yet keeps the d^4 x d^4 cap, d <= 8, for time: past it a draw takes minutes.
 _MAX_ARRAY_BYTES = 2**28
 
 
@@ -93,9 +93,7 @@ def resolve_gate(spec: str, d: int) -> UnitaryOp:
     if mat.shape != (d, d):
         raise DimensionMismatchError(f"matrix {spec} has shape {mat.shape}, expected ({d}, {d})")
     try:
-        # Huge entries overflow U^dag U to inf; the unitarity check is NaN-safe.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return UnitaryOp(mat)
+        return UnitaryOp(mat)
     except ValueError as exc:
         raise UsageError(f"matrix {spec} is not unitary: {exc}") from exc
 
@@ -222,7 +220,7 @@ def cmd_twirl_verify(args) -> tuple[dict, list[dict]]:
     # construction, never validated here).  The Choi action T(Y)_ab = sum_ij Y_ij D_(ia),(jb)
     # is then each battery twirl's Monte Carlo error, since on C it is twirl_exact(Y).
     resid = _twirl_choi_mc(d, args.n_samples, rng)
-    resid -= _twirl_choi_fill(d)
+    resid -= twirl_choi(d)
     devs = np.tensordot(np.stack(list(battery.values())), resid.reshape(dd, dd, dd, dd), axes=([1, 2], [0, 2]))
     rows = [{"check": f"mc_vs_exact[{name}]", "residual": max_abs(dev)} for name, dev in zip(battery, devs)]
     once = twirl_exact(herm)
@@ -291,6 +289,9 @@ def _validate_common(args) -> None:
         raise UsageError(f"--d must be >= 2, got {d}")
     side = d ** (4 if args.command in ("bound-scan", "twirl-verify") else 2)
     if side * side * 16 > _MAX_ARRAY_BYTES:
+        if args.command == "bound-scan":
+            raise UsageError(f"--d {d} is over bound-scan's d <= 8: each draw's bisection eigensolves "
+                             f"of order m = {d * d * (d * d - 1) // 2} would take minutes")
         raise UsageError(f"--d {d} needs a {side} x {side} complex array "
                          f"({side * side * 16 / 2**20:.3g} MiB), over the {_MAX_ARRAY_BYTES >> 20} MiB limit")
     n, seed = getattr(args, "n_samples", 1), getattr(args, "seed", 0)

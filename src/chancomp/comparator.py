@@ -16,8 +16,8 @@ import numpy as np
 
 from .haar import _CHUNK, McEstimate, _mc_mean, haar_sample
 from .linalg import ATOL, STRUCT_ATOL, SUM_ATOL, DimensionMismatchError, max_abs, tensor
-from .qobj import ChoiOp, Ppovm, QState, UnitaryOp, clamp_probability
-from .symmetry import _twirl_choi_fill, eigenbasis, off_eigenspace, projector, qudit_dim
+from .qobj import Ppovm, QState, UnitaryOp, clamp_probability
+from .symmetry import eigenbasis, off_eigenspace, projector, qudit_dim
 
 DIFF = "diff"
 INCONCLUSIVE = "inconclusive"
@@ -137,17 +137,6 @@ class UniquenessProbe:
 
     optimal_form: bool
     deviation: float
-
-
-def twirl_choi(d: int) -> ChoiOp:
-    """Choi operator of the two-copy twirling channel.
-
-    Equals P+ (x) P+ / d+  +  P- (x) P- / d- across the reference/output cut;
-    it is also the Haar average of the Choi operators of identical pairs,
-    which is what makes its orthocomplement the home of M_diff.  Filled from
-    the swap's index map, then validated as a ChoiOp: the checked oracle.
-    """
-    return ChoiOp(_twirl_choi_fill(d), d * d)
 
 
 def make_strategy(kind: str, xi: QState | np.ndarray) -> Strategy:

@@ -151,7 +151,7 @@ def twirl_exact(y) -> np.ndarray:
 
 
 def _twirl_choi_mc(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Monte Carlo estimate of the twirl's Choi operator, the mean of |w><w| over identical pairs (U, U).
+    """Monte Carlo estimate of symmetry.twirl_choi(d), the mean of |w><w| over identical pairs (U, U).
 
     Row k of W holds the pair-output vector of one draw, so each chunk adds
     its Gram matrix W^T conj(W).  Memory is O(chunk), whatever n.

@@ -18,7 +18,6 @@ import numpy as np
 # CLI's 256 MiB array cap).
 ATOL = 1e-10  # one identity: Hermiticity, unitarity, unit trace, PSD, support, probability range
 SUM_ATOL = 1e-9  # sums of elements: POVM/PPOVM normalisation, success vs the (d+1)/(2d) bound
-CHOI_TRACE_ATOL = 1e-8  # trace of a Choi operator, which grows with the dimension
 STRUCT_ATOL = 1e-6  # structural matches: optimal-form residuals, gap to a multiple of the identity
 
 
@@ -120,14 +119,6 @@ def is_psd(a) -> bool:
     except np.linalg.LinAlgError:
         return False
     return math.isfinite(factor.trace().real)  # a LAPACK may return a NaN factor where it should raise
-
-
-def trace_product(a, b) -> complex:
-    """tr(A B) without forming the product matrix, as a numpy complex scalar."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0] or ma.shape[0] != mb.shape[1]:
-        raise DimensionMismatchError(f"trace_product shapes {ma.shape} x {mb.shape}")
-    return np.einsum("ij,ji->", ma, mb)
 
 
 def matrix_to_json(a) -> dict:

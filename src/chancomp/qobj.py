@@ -22,14 +22,12 @@ import numpy as np
 
 from .linalg import (
     ATOL,
-    CHOI_TRACE_ATOL,
     SUM_ATOL,
     DimensionMismatchError,
     as_matrix,
     is_psd,
     max_abs,
     tensor,
-    trace_product,
 )
 
 
@@ -87,6 +85,8 @@ class QState:
 class UnitaryOp:
     """A d x d unitary operator."""
 
+    # Huge or inf entries make the Gram matrix inf or NaN, which the NaN-safe check rejects, with no warning.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, mat):
         m = as_matrix(mat)
         n = m.shape[0]
@@ -101,18 +101,6 @@ class UnitaryOp:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-class ChoiOp:
-    """Choi operator of a channel on a D-dimensional system (trace-D convention)."""
-
-    def __init__(self, mat, d_sys: int):
-        d_sys = int(d_sys)
-        m = _positive_operator(mat, d_sys * d_sys, "Choi operator")
-        if not (abs(np.trace(m).real - d_sys) <= CHOI_TRACE_ATOL):
-            raise ValueError(f"Choi operator has trace {np.trace(m).real}, expected {d_sys}")
-        self.mat = m
-        self.d_sys = d_sys
 
 
 class Ppovm:
@@ -147,13 +135,13 @@ def _pair_output_vec(k: np.ndarray) -> np.ndarray:
     return k.swapaxes(-1, -2).reshape(*k.shape[:-2], -1)
 
 
-def choi_of_unitary(u: UnitaryOp) -> ChoiOp:
-    """Choi operator of the channel X -> U X U^dagger.
+def choi_of_unitary(u: UnitaryOp) -> np.ndarray:
+    """Choi operator |w><w|, w = vec(U^T), of the channel X -> U X U^dagger: PSD with trace D by construction.
 
     The identity gives the maximally entangled pair; boxes (U, V) in parallel are U (x) V.
     """
     w = _pair_output_vec(u.mat)
-    return ChoiOp(np.outer(w, w.conj()), u.dim)
+    return np.outer(w, w.conj())
 
 
 def ppovm_from_experiment(xi: QState, effects: dict[str, np.ndarray]) -> Ppovm:
@@ -182,9 +170,9 @@ def clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def outcome_probability(omega: ChoiOp, m) -> float:
-    """Probability tr(omega M) of a process-POVM element, clamped to [0, 1]."""
-    m = as_matrix(m)
-    if m.shape != omega.mat.shape:
-        raise DimensionMismatchError(f"element shape {m.shape} vs Choi shape {omega.mat.shape}")
-    return clamp_probability(float(trace_product(omega.mat, m).real))
+def outcome_probability(omega, m) -> float:
+    """Probability tr(omega M) of a process-POVM element M on a channel's Choi operator omega, clamped to [0, 1]."""
+    omega, m = as_matrix(omega), as_matrix(m)
+    if m.shape != omega.shape:
+        raise DimensionMismatchError(f"element shape {m.shape} vs Choi shape {omega.shape}")
+    return clamp_probability(float(np.einsum("ij,ji->", omega, m).real))

@@ -8,9 +8,10 @@ the two row qudits of x.  Basis vectors are the (anti)symmetrized
 computational pairs, enumerated in lexicographic order so fixtures are
 reproducible.  projector fills a fresh d^4 array on every call, so none
 outlives its reader; eigenbasis is cached per (d, s), read-only, since
-every random_unambiguous_ppovm draw reads both bases.  The two-copy twirl's
-Choi operator on the doubled space is filled the same way, from the swapped
-index of each of its two pairs, with no tensor product of projectors.
+every draw of bound-scan's comparator._random_unambiguous_draw reads both
+bases.  The two-copy twirl's Choi operator on the doubled space,
+twirl_choi, is filled the same way, from the swapped index of each of its
+two pairs, with no tensor product of projectors.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ def _identity_swap_sum(d: int, a, b) -> np.ndarray:
     return out
 
 
-def _twirl_choi_fill(d: int) -> np.ndarray:
+def twirl_choi(d: int) -> np.ndarray:
     """The two-copy twirl's Choi operator P+ (x) P+ / d+ + P- (x) P- / d- as a fresh (d^4, d^4) complex array.
 
+    It is the Haar average of the Choi operators of identical pairs, so its
+    orthocomplement is the home of M_diff; PSD with trace d^2 by construction.
     With P+- = (I +- S) / 2 it is alpha (I (x) I + S (x) S) + beta (I (x) S + S (x) I),
     alpha, beta = (1/d+ +- 1/d-) / 4: up to four entries per column, each term filled
     from the swap's index map on the two pairs of a doubled-space index.

@@ -19,12 +19,11 @@ from chancomp.comparator import (
     _cross_schur_complement,
     random_unambiguous_ppovm,
     sequential_witness,
-    twirl_choi,
 )
 from chancomp.haar import _twirl_choi_mc, haar_sample, twirl_exact
 from chancomp.linalg import ATOL, DimensionMismatchError, matrix_to_json, max_abs
 from chancomp.qobj import Ppovm, UnitaryOp, choi_of_unitary
-from chancomp.symmetry import _twirl_choi_fill, eigenbasis, projector
+from chancomp.symmetry import eigenbasis, projector, twirl_choi
 from dense_oracle import cross_isometry, twirl_mc
 
 
@@ -207,6 +206,13 @@ def test_oversized_d_rejected_before_allocating(capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error:") and "--d" in err and "Traceback" not in err
+    # Just past the cap: bound-scan forms no d^4 x d^4 array and gives the draw's run time as its reason.
+    for argv, reason in ((["bound-scan"], "eigensolves of order m = 3240 would take minutes"),
+                         (["twirl-verify"], "needs a 6561 x 6561 complex array (657 MiB)")):
+        assert main(argv + ["--n", "5", "--d", "9"]) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --d 9 ") and reason in err, argv[0]
+        assert ("MiB" in err) == (argv[0] == "twirl-verify"), argv[0]
 
 
 def test_negative_seed_rejected(capsys):
@@ -490,7 +496,7 @@ def battery(d, herm):
     return ops
 
 
-def test_twirl_choi_fill_acts_as_twirl_exact():
+def test_twirl_choi_acts_as_twirl_exact():
     # twirl-verify reads each mc_vs_exact row off the one residual against the filled
     # Choi operator C, so the Choi action T(Y)_ab = sum_ij Y_ij C_(ia),(jb) of the fill
     # must be twirl_exact(Y): on the battery and on a random complex Y.
@@ -500,7 +506,7 @@ def test_twirl_choi_fill_acts_as_twirl_exact():
         h = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         ops = battery(d, (h + h.conj().T) / 2)
         ops["random_complex"] = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
-        choi = _twirl_choi_fill(d).reshape(dd, dd, dd, dd)
+        choi = twirl_choi(d).reshape(dd, dd, dd, dd)
         for name, y in ops.items():
             action = np.tensordot(y, choi, axes=([0, 1], [0, 2]))
             assert max_abs(action - twirl_exact(y)) <= 1e-14 * max(1.0, max_abs(y)), (d, name)
@@ -531,12 +537,12 @@ def test_twirl_verify_draws_n_unitaries(tmp_path, monkeypatch):
             k = np.kron(*[haar_sample(d, rng).mat] * 2)
             for name, y in ops.items():
                 twirled[name] += k @ y @ k.conj().T
-            choi += choi_of_unitary(UnitaryOp(k)).mat
+            choi += choi_of_unitary(UnitaryOp(k))
         assert len(seen) == 1 and seen[0].bit_generator.state == rng.bit_generator.state
         residuals = {row["check"]: row["residual"] for row in payload["rows"]}
         for name, y in ops.items():
             assert abs(residuals[f"mc_vs_exact[{name}]"] - max_abs(twirled[name] / n - twirl_exact(y))) <= 1e-12, name
-        assert abs(residuals["pair_choi_mc_vs_twirl_choi"] - max_abs(choi / n - twirl_choi(d).mat)) <= 1e-12
+        assert abs(residuals["pair_choi_mc_vs_twirl_choi"] - max_abs(choi / n - twirl_choi(d))) <= 1e-12
 
 
 def test_twirl_verify_reads_every_row_off_the_pair_choi_estimate(tmp_path, monkeypatch):
@@ -578,7 +584,7 @@ def test_pair_choi_mean_matches_per_draw_outer_products():
             total = np.zeros((d**4, d**4), dtype=complex)
             for _ in range(n):
                 u = haar_sample(d, rng)
-                total += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
+                total += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat)))
             assert max_abs(got - total / n) <= 1e-12
 
 
@@ -640,7 +646,6 @@ def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("witness validated a dense operator")
 
-    monkeypatch.setattr(qobj.ChoiOp, "__init__", refuse)
     monkeypatch.setattr(qobj, "is_psd", refuse)
     rc, payload = run_json(tmp_path, ["witness", "--d", "3", "--w", "fourier-d", "--r", "fourier-d"])
     assert rc == 0
@@ -648,7 +653,7 @@ def test_witness_validates_no_choi_operator(monkeypatch, tmp_path):
 
 
 def test_witness_choi_residual_matches_dense_choi_oracle(tmp_path):
-    # Bit for bit the residual of the two validated Choi operators, for the
+    # Bit for bit the residual of the two dense Choi operators, for the
     # Fourier gate and for random gates, whose largest entry can lie in any row block.
     rng = np.random.default_rng(12)
     specs = [(d, "fourier-d", "fourier-d") for d in (2, 3, 16)]
@@ -665,7 +670,7 @@ def test_witness_choi_residual_matches_dense_choi_oracle(tmp_path):
         w = resolve_gate(w_spec, d)
         u, v = sequential_witness(w, resolve_gate(r_spec, d))
         uv, ww = UnitaryOp(u @ v), UnitaryOp(w.mat @ w.mat)
-        assert payload["choi_residual"] == max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat)
+        assert payload["choi_residual"] == max_abs(choi_of_unitary(uv) - choi_of_unitary(ww))
 
 
 def test_console_entry_point():

@@ -20,12 +20,11 @@ from chancomp.comparator import (
     run_pair,
     sequential_witness,
     success_bound,
-    twirl_choi,
     uniqueness_probe,
     verify_no_error,
 )
 from chancomp.haar import haar_sample
-from chancomp.linalg import ATOL, STRUCT_ATOL, DimensionMismatchError, max_abs, tensor, trace_product
+from chancomp.linalg import ATOL, STRUCT_ATOL, DimensionMismatchError, is_psd, max_abs, tensor
 from chancomp.qobj import (
     Ppovm,
     QState,
@@ -41,6 +40,7 @@ from chancomp.symmetry import (
     projector,
     random_antisymmetric_state,
     random_symmetric_state,
+    twirl_choi,
     uniform_antisymmetric_state,
     uniform_symmetric_state,
 )
@@ -92,16 +92,17 @@ def factor_and_rebuild(strategy):
 
 
 def test_twirl_choi_structure():
-    # The index-map fill against the projector form: equal to rounding (bit for bit at d=4, 6).
     for d in range(2, 7):
-        assert max_abs(twirl_choi(d).mat - twirl_choi_projector_form(d)) <= 1e-15
+        omega = twirl_choi(d)
+        # The index-map fill against the projector form: equal to rounding (bit for bit at d=4, 6).
+        assert max_abs(omega - twirl_choi_projector_form(d)) <= 1e-15
+        # A Choi operator of a channel on d^2 dimensions: trace d^2 and PSD, by construction.
+        assert abs(np.trace(omega).real - d * d) <= 1e-10
+        assert is_psd(omega)
     for d in (2, 3):
         dim_plus, dim_minus = d * (d + 1) // 2, d * (d - 1) // 2
-        omega = twirl_choi(d)
-        assert abs(np.trace(omega.mat).real - d * d) <= 1e-10
-        assert max_abs(omega.mat - twirl_choi_projector_form(d)) <= 1e-12
         # support projector and rank d+^2 + d-^2
-        rank = int(np.sum(np.linalg.eigvalsh(omega.mat) > 1e-10))
+        rank = int(np.sum(np.linalg.eigvalsh(twirl_choi(d)) > 1e-10))
         assert rank == dim_plus ** 2 + dim_minus ** 2
     with pytest.raises(ValueError):
         twirl_choi(1)
@@ -111,7 +112,7 @@ def test_twirl_choi_support_projector_from_spectrum():
     d = 2
     p_plus, p_minus = projector(d, 1), projector(d, -1)
     omega = twirl_choi(d)
-    vals, vecs = np.linalg.eigh(omega.mat)
+    vals, vecs = np.linalg.eigh(omega)
     support = (vecs[:, vals > 1e-10]) @ (vecs[:, vals > 1e-10]).conj().T
     direct = tensor(p_plus, p_plus) + tensor(p_minus, p_minus)
     assert max_abs(support - direct) <= 1e-10
@@ -123,8 +124,8 @@ def test_twirl_choi_is_mean_of_identical_pairs():
     acc = np.zeros((16, 16), dtype=complex)
     for _ in range(n):
         u = haar_sample(d, rng)
-        acc += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
-    assert max_abs(acc / n - twirl_choi(d).mat) <= 0.05
+        acc += choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat)))
+    assert max_abs(acc / n - twirl_choi(d)) <= 0.05
 
 
 def test_identical_pair_choi_supported_inside_twirl_choi():
@@ -135,7 +136,7 @@ def test_identical_pair_choi_supported_inside_twirl_choi():
         comp = np.eye(support.shape[0]) - support
         for _ in range(5):
             u = haar_sample(d, rng)
-            omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat))).mat
+            omega = choi_of_unitary(UnitaryOp(np.kron(u.mat, u.mat)))
             assert max_abs(comp @ omega @ comp) <= 1e-10
 
 
@@ -628,8 +629,8 @@ def test_verify_no_error_bounds_per_draw_oracle():
             oracle.append(outcome_probability(omega, m_diff))
         assert 0.0 < max(oracle) < 1.0
         assert max(oracle) <= report.identical_pair_bound + ATOL
-        omega_t = twirl_choi(d).mat
-        assert abs(report.twirl_residual - abs(trace_product(omega_t, m_diff).real)) <= 1e-12
+        omega_t = twirl_choi(d)
+        assert abs(report.twirl_residual - abs(np.trace(omega_t @ m_diff).real)) <= 1e-12
         vals, vecs = np.linalg.eigh(omega_t)
         q = vecs[:, vals > ATOL]
         spectrum = d * d * np.linalg.eigvalsh(q.conj().T @ m_diff @ q)[-1]
@@ -811,7 +812,7 @@ def test_sequential_witness_random_pairs():
             # and the composed channels are indistinguishable
             uv = UnitaryOp(u @ v)
             ww = UnitaryOp(w.mat @ w.mat)
-            assert max_abs(choi_of_unitary(uv).mat - choi_of_unitary(ww).mat) <= 1e-10
+            assert max_abs(choi_of_unitary(uv) - choi_of_unitary(ww)) <= 1e-10
 
 
 def test_sequential_witness_does_not_recheck_its_products():

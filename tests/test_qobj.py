@@ -5,8 +5,8 @@ import pytest
 
 from chancomp.haar import haar_sample
 from chancomp.linalg import DimensionMismatchError, max_abs, tensor
+from chancomp.comparator import Strategy
 from chancomp.qobj import (
-    ChoiOp,
     Ppovm,
     QState,
     UnitaryOp,
@@ -14,6 +14,7 @@ from chancomp.qobj import (
     outcome_probability,
     ppovm_from_experiment,
 )
+from chancomp.symmetry import _uniform_factor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -81,12 +82,11 @@ def test_unitary_validation():
     UnitaryOp([[1, 5e-11], [0, 1]])
     with pytest.raises(ValueError, match="not unitary"):
         UnitaryOp([[1, 2e-10], [0, 1]])
-    # inf * 0 in U^dag U raises numpy's "invalid" flag; the CLI builds gates from
-    # matrix files under this errstate, and the check must still reject them.
+    # inf * 0 in U^dag U raises numpy's "invalid" flag; UnitaryOp silences it and still rejects them.
     for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
         m = np.eye(2, dtype=complex)
         m[0, 1] = bad
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="not unitary"):
             UnitaryOp(m)
     for shape in ((2, 3), (3, 2), (0, 0), (0, 2)):
         with pytest.raises(DimensionMismatchError, match="non-empty square"):
@@ -100,9 +100,9 @@ def choi_of_pair(u, v):
 
 def test_max_entangled_basics():
     omega = choi_of_unitary(UnitaryOp(np.eye(2)))
-    assert np.array_equal(omega.mat, np.outer(PAIR_VEC_2, PAIR_VEC_2))
+    assert np.array_equal(omega, np.outer(PAIR_VEC_2, PAIR_VEC_2))
     for big_d in (4, 9):
-        proj = choi_of_unitary(UnitaryOp(np.eye(big_d))).mat
+        proj = choi_of_unitary(UnitaryOp(np.eye(big_d)))
         pair = sum(np.kron(e, e) for e in np.eye(big_d))  # sum_j |jj>
         assert np.array_equal(proj, np.outer(pair, pair))
         assert abs(np.trace(proj).real - big_d) <= 1e-12
@@ -123,25 +123,25 @@ def test_max_entangled_four_leg_factorization():
                     if i1 == i3 and i2 == i4:
                         expected[((i1 * d + i2) * d + i3) * d + i4] = 1.0
     eye = UnitaryOp(np.eye(d))
-    assert np.array_equal(choi_of_pair(eye, eye).mat, np.outer(expected, expected))
+    assert np.array_equal(choi_of_pair(eye, eye), np.outer(expected, expected))
 
 
 def test_choi_of_unitary_pair():
     eye = UnitaryOp(np.eye(2))
     pair = sum(np.kron(e, e) for e in np.eye(4))  # sum_j |jj>
-    assert max_abs(choi_of_pair(eye, eye).mat - np.outer(pair, pair)) <= 1e-12
+    assert max_abs(choi_of_pair(eye, eye) - np.outer(pair, pair)) <= 1e-12
 
     rng = np.random.default_rng(10)
     u, v = haar_sample(2, rng), haar_sample(2, rng)
     omega = choi_of_pair(u, v)
-    assert abs(np.trace(omega.mat).real - 4.0) <= 1e-10
-    vals = np.linalg.eigvalsh(omega.mat)
+    assert abs(np.trace(omega).real - 4.0) <= 1e-10
+    vals = np.linalg.eigvalsh(omega)
     assert np.sum(vals > 1e-10) == 1  # rank one
     # Physical check: tr(omega (rho^T (x) F)) = tr((U (x) V) rho (U (x) V)^dagger F).
     rho = random_density(rng, 4)
     f = random_povm(rng, 4, 2)[0]
     uv = tensor(u.mat, v.mat)
-    lhs = np.trace(omega.mat @ tensor(rho.T, f)).real
+    lhs = np.trace(omega @ tensor(rho.T, f)).real
     rhs = np.trace(uv @ rho @ uv.conj().T @ f).real
     assert abs(lhs - rhs) <= 1e-10
 
@@ -150,12 +150,12 @@ def test_choi_of_unitary_single_channel():
     rng = np.random.default_rng(11)
     u = haar_sample(3, rng)
     omega = choi_of_unitary(u)
-    assert omega.d_sys == 3
-    assert abs(np.trace(omega.mat).real - 3.0) <= 1e-10
+    assert omega.shape == (9, 9)
+    assert abs(np.trace(omega).real - 3.0) <= 1e-10
     # Physical check: tr(omega (rho^T (x) F)) = tr(U rho U^dagger F).
     rho = random_density(rng, 3)
     f = random_povm(rng, 3, 2)[0]
-    lhs = np.trace(omega.mat @ tensor(rho.T, f)).real
+    lhs = np.trace(omega @ tensor(rho.T, f)).real
     rhs = np.trace(u.mat @ rho @ u.mat.conj().T @ f).real
     assert abs(lhs - rhs) <= 1e-10
 
@@ -244,15 +244,6 @@ def test_outcome_probability_rejects_out_of_range():
         outcome_probability(omega, np.eye(4))
 
 
-def test_choi_validation():
-    with pytest.raises(ValueError):
-        ChoiOp(np.eye(4), 2)  # trace 4, expected 2
-    with pytest.raises(ValueError):
-        ChoiOp(-np.outer(PAIR_VEC_2, PAIR_VEC_2), 2)
-    with pytest.raises(DimensionMismatchError):
-        ChoiOp(np.eye(3), 2)
-
-
 def with_entry(m, value):
     """Copy of m with one off-diagonal entry replaced."""
     out = np.array(m, dtype=complex)
@@ -266,12 +257,26 @@ def test_positive_operators_reject_non_finite_entries_by_name():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="density operator has non-finite entries"):
             QState(with_entry(np.eye(2) / 2, bad))
-        with pytest.raises(ValueError, match="Choi operator has non-finite entries"):
-            ChoiOp(with_entry(np.outer(PAIR_VEC_2, PAIR_VEC_2), bad), 2)
         with pytest.raises(ValueError, match="effect 'a' has non-finite entries"):
             ppovm_from_experiment(xi, {"a": with_entry(P_PLUS_2, bad), "b": P_MINUS_2})
         with pytest.raises(ValueError, match="element 'diff' has non-finite entries"):
             Ppovm({"diff": with_entry(diff, bad), "inconclusive": inconclusive}, xi)
+
+
+def test_checked_types_raise_their_own_error_on_non_finite_or_huge_entries():
+    # 1e308 overflows a Gram matrix or a norm to inf, NaN and inf propagate; with warnings
+    # as errors, each constructor must still raise its own ValueError, not a RuntimeWarning.
+    factor = _uniform_factor(2, -1)
+    for bad in (np.nan, np.inf, -np.inf, 1e308):
+        state = with_entry(SINGLET, bad)
+        stack = np.array(factor)
+        stack[0, 0, 1] = bad
+        for build in (lambda: UnitaryOp(with_entry(np.eye(2), bad)),
+                      lambda: QState(state),
+                      lambda: Strategy(QState(state), "antisym_optimal"),
+                      lambda: Strategy(stack, "antisym_optimal")):
+            with pytest.raises(ValueError):
+                build()
 
 
 def test_ppovm_validation_and_json_roundtrip():
