@@ -223,20 +223,27 @@ def overall_success(strategy: Strategy, eta_same: float) -> float:
     return (1.0 - eta_same) * average_success(strategy)
 
 
+def _m_diff(ppovm: Ppovm) -> np.ndarray:
+    """The PPOVM's 'diff' element; ValueError naming the labels it has if there is none."""
+    if DIFF not in ppovm.elements:
+        raise ValueError(f"expected a {DIFF!r} element, got labels {sorted(ppovm.elements)}")
+    return ppovm.elements[DIFF]
+
+
 def verify_no_error(ppovm: Ppovm) -> NoErrorReport:
-    """Residuals of the no-error conditions for a claimed unambiguous comparator; reports, never raises.
+    """Residuals of the no-error conditions for a claimed unambiguous comparator: reported, not raised on.
 
     C = [B+ (x) B+, B- (x) B-] is an isometry onto the twirl Choi support, and
     omega_T = C diag(1/d+ .., 1/d- ..) C^dag.  The Choi vector w of every
     identical pair (U, U) lies in range(C) with |w|^2 = d^2.  So one compression
     K = C^dag M_diff C gives both tr(omega_T M_diff) = tr K_++ / d+ + tr K_-- / d-
     and p_diff(U, U) <= d^2 lambda_max(K) for every U.  tr(M_same)/d^2 is
-    reported when a 'same' element is present.
+    reported when a 'same' element is present.  ValueError if there is no 'diff' element.
     """
     d = qudit_dim(ppovm.d_sys)
     bp, bm = eigenbasis(d, 1), eigenbasis(d, -1)
     c = np.hstack([tensor(bp, bp), tensor(bm, bm)])
-    k = c.conj().T @ ppovm.elements[DIFF] @ c
+    k = c.conj().T @ _m_diff(ppovm) @ c
     d_plus, diag = bp.shape[1], np.diagonal(k).real
     twirl_residual = abs(float(diag[:d_plus**2].sum() / d_plus + diag[d_plus**2:].sum() / bm.shape[1]))
     same_residual = None
@@ -344,7 +351,7 @@ def uniqueness_probe(ppovm: Ppovm) -> UniquenessProbe:
     conditions first.
     """
     d = qudit_dim(ppovm.d_sys)
-    m_diff = ppovm.elements[DIFF]
+    m_diff = _m_diff(ppovm)
     rho_t = ppovm.rho.mat.T
 
     success_residual = abs(float(np.trace(m_diff).real) / (d * d) - success_bound(d))

@@ -33,14 +33,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product of the factors, first factor's indices major; equal to np.kron bit for bit."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = kron_stack(out[None], as_matrix(f)[None])[0]
-    return out
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product A (x) B, A's indices major; equal to np.kron bit for bit."""
+    return kron_stack(as_matrix(a)[None], as_matrix(b)[None])[0]
 
 
 def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -74,39 +69,12 @@ def is_hermitian(a) -> bool:
     return max_abs(diff) <= ATOL
 
 
-# Order of the diagonal blocks in _cholesky_in_place; an order up to it is one
-# block.  np.linalg.cholesky copies its input to a work buffer and returns a
-# new factor, so on the whole matrix it would hold three n x n arrays; by
-# blocks it holds O(n b).
-_CHOLESKY_BLOCK = 256
-
-
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite a's lower triangle with its Cholesky factor, return a; LinAlgError if not positive definite.
-
-    Right-looking block Cholesky (Golub & Van Loan, Matrix Computations, 4th
-    ed., sec. 4.2) that reads only the lower triangle.
-    """
-    n, b = a.shape[0], _CHOLESKY_BLOCK
-    for k in range(0, n, b):
-        e = k + b
-        lkk = np.linalg.cholesky(a[k:e, k:e])
-        a[k:e, k:e] = lkk
-        if e >= n:
-            break
-        panel = a[e:, k:e]
-        panel[...] = np.linalg.solve(lkk.conj(), panel.T).T  # L_ik = A_ik L_kk^-dagger
-        for j in range(e, n, b):
-            a[j:, j:j + b] -= panel[j - e:] @ panel[j - e:j - e + b].conj().T
-    return a
-
-
 def is_psd(a) -> bool:
     """True iff the Hermitian input A is PSD within ATOL: A + ATOL*I has a Cholesky factor.
 
     That is lambda_min(A) > -ATOL up to rounding of order n*eps*||A|| (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, ch. 10).
-    The factor overwrites the one shifted copy of A, block by block.
+    One shifted copy of A is factored; the peak is that copy plus its factor.
     """
     m = as_matrix(a)
     if not is_hermitian(m):  # so is every input with an entry that is not finite: it meets NaN or inf - inf
@@ -115,7 +83,7 @@ def is_psd(a) -> bool:
     shifted = m.copy()
     shifted.ravel()[:: n + 1] += ATOL
     try:
-        factor = _cholesky_in_place(shifted)
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return math.isfinite(factor.trace().real)  # a LAPACK may return a NaN factor where it should raise

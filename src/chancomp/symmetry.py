@@ -33,6 +33,14 @@ def qudit_dim(n: int) -> int:
     return d
 
 
+def _check_eigenspace(d: int, s: int = 1) -> None:
+    """ValueError unless d >= 2 and the swap eigenvalue s is +-1, before anything is built or cached."""
+    if d < 2:
+        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    if s not in (1, -1):
+        raise ValueError(f"swap eigenvalue s must be +1 or -1, got {s!r}")
+
+
 def off_eigenspace(x: np.ndarray, s: int) -> float:
     """max_abs(x - P x) for P the projector onto the swap eigenspace of eigenvalue s = +-1; O(d^4).
 
@@ -78,8 +86,7 @@ def twirl_choi(d: int) -> np.ndarray:
     alpha, beta = (1/d+ +- 1/d-) / 4: up to four entries per column, each term filled
     from the swap's index map on the two pairs of a doubled-space index.
     """
-    if d < 2:
-        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    _check_eigenspace(d)
     dd = d * d
     inv_plus, inv_minus = 1 / (d * (d + 1) // 2), 1 / (d * (d - 1) // 2)
     alpha, beta = (inv_plus + inv_minus) / 4, (inv_plus - inv_minus) / 4
@@ -100,8 +107,7 @@ def projector(d: int, s: int) -> np.ndarray:
     Filled from the swap's index map: 1/2 on the diagonal, plus s/2 (so 1 or
     0 where j = k), each entry exact.
     """
-    if d < 2:
-        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    _check_eigenspace(d, s)
     return _identity_swap_sum(d, 0.5, s * 0.5)
 
 
@@ -111,8 +117,7 @@ def eigenbasis(d: int, s: int) -> np.ndarray:
 
     Built once per (d, s) and shared by every caller, so the array is read-only.
     """
-    if d < 2:
-        raise ValueError(f"swap eigenspaces need d >= 2, got {d}")
+    _check_eigenspace(d, s)
     b = np.zeros((d * d, d * (d + s) // 2), dtype=complex)
     _fill_eigenbasis(b.reshape(d, d, -1).transpose(2, 0, 1), d, s)
     b.flags.writeable = False

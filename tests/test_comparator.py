@@ -649,6 +649,14 @@ def test_verify_no_error_flags_same_element():
     assert report.max_residual >= report.same_residual
 
 
+def test_checks_reading_m_diff_name_the_labels_of_a_ppovm_without_one():
+    xi = QState(SINGLET, [2, 2])
+    ppovm = ppovm_from_experiment(xi, {"plus": projector(2, 1), "minus": projector(2, -1)})
+    for check in (verify_no_error, uniqueness_probe):
+        with pytest.raises(ValueError, match=r"'diff' element, got labels \['minus', 'plus'\]"):
+            check(ppovm)
+
+
 def test_random_unambiguous_ppovm_properties():
     rng = np.random.default_rng(53)
     with pytest.raises(ValueError):

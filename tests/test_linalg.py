@@ -40,10 +40,8 @@ def test_tensor_identities():
     assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
     got = tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.array_equal(got, np.diag([3.0, 4.0, 6.0, 8.0]))
-    with pytest.raises(ValueError, match="at least one factor"):
-        tensor()
     with pytest.raises(ValueError, match="expected a matrix"):
-        tensor(np.zeros(3))
+        tensor(np.zeros(3), np.eye(2))
 
 
 def test_tensor_sigma_x_pair_maps_00_to_11():
@@ -57,7 +55,6 @@ def test_tensor_associative_exact_on_integer_entries():
     rng = np.random.default_rng(0)
     a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
     assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-    assert np.array_equal(tensor(a, b, c), tensor(a, tensor(b, c)))
 
 
 def test_tensor_equals_kron_bit_for_bit():
@@ -68,8 +65,6 @@ def test_tensor_equals_kron_bit_for_bit():
         b = rng.normal(size=shape_b)
         for x, y in ((a, b), (b, a), (a, a.conj()), (b, b)):
             assert np.array_equal(tensor(x, y), np.kron(x, y))
-    c = random_matrix(rng, 2)
-    assert np.array_equal(tensor(c, SX, c), np.kron(np.kron(c, SX), c))
 
 
 def test_kron_stack_equals_kron_per_slice():
@@ -117,18 +112,12 @@ def hermitian_with_spectrum(rng, vals):
     return (m + m.conj().T) / 2
 
 
-# 16 splits every n above it into blocks; the default factors n <= 256 as
-# one block.
-BLOCKS = (16, linalg._CHOLESKY_BLOCK)
-
-
-@pytest.mark.parametrize("block", BLOCKS)
-@pytest.mark.parametrize("n", (4, 16, 81, 256))
-def test_is_psd_matches_eigvalsh_oracle_at_the_atol_boundary(monkeypatch, n, block):
+@pytest.mark.parametrize("n", (4, 16, 81, 256, 625))
+def test_is_psd_matches_eigvalsh_oracle_at_the_atol_boundary(n):
     # Smallest eigenvalue 1% beyond -ATOL on either side, half the spectrum at
     # zero: the shifted matrix is 1e-12 away from singular on both sides,
-    # while rounding is of order n * eps * ||A|| <= 6e-14.
-    monkeypatch.setattr(linalg, "_CHOLESKY_BLOCK", block)
+    # while rounding is of order n * eps * ||A|| <= 1.4e-13.  625 is the
+    # order of a d=5 PPOVM element.
     rng = np.random.default_rng(n)
     for lam_min, expected in ((-ATOL * (1 + 1e-2), False), (-ATOL * (1 - 1e-2), True)):
         vals = np.concatenate(([lam_min], np.zeros(n // 2), rng.uniform(0, 1, n - 1 - n // 2)))
@@ -146,15 +135,13 @@ def rank_deficient_psd_inputs():
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         yield f"pure n={n}", np.outer(v, v.conj())
-    for big_d in (16, 24):  # n = 256 and 576: one block and three at the default size
+    for big_d in (16, 24):  # n = 256 and 576
         yield f"choi D={big_d}", choi_of_unitary(haar_sample(big_d, rng))
     for label, m in random_unambiguous_ppovm(4, rng).elements.items():
         yield f"ppovm d=4 {label}", m
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_is_psd_accepts_rank_deficient_psd_inputs(monkeypatch, block):
-    monkeypatch.setattr(linalg, "_CHOLESKY_BLOCK", block)
+def test_is_psd_accepts_rank_deficient_psd_inputs():
     for name, m in rank_deficient_psd_inputs():
         assert eigvalsh_is_psd(m), name
         assert is_psd(m), name
@@ -176,11 +163,11 @@ def test_is_psd_rejects_a_factor_with_non_finite_diagonal(monkeypatch):
 
 
 def test_is_psd_holds_one_copy_beside_the_hermiticity_pass():
-    # numpy's own n x n arrays peak at the Hermiticity pass (a conjugate copy
-    # and its real moduli: 1.5 input sizes); the factorisation runs in the
-    # shifted copy, with block-sized temporaries, and stays below that.  A
-    # separate factor array would reach 2.
-    n = 1024
+    # The Hermiticity pass holds a conjugate copy and its real moduli (1.5
+    # input sizes) and frees them; the factorisation then holds the one
+    # shifted copy and the factor np.linalg.cholesky returns (2 input sizes).
+    # A second copy of the input would reach 3.
+    n = 256
     rng = np.random.default_rng(4)
     g = random_matrix(rng, n)
     m = g @ g.conj().T / n
@@ -190,7 +177,7 @@ def test_is_psd_holds_one_copy_beside_the_hermiticity_pass():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * m.nbytes
+    assert peak <= 2.05 * m.nbytes
 
 
 def test_trace_identities():

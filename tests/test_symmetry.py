@@ -130,6 +130,12 @@ def test_projector_and_eigenbasis_reject_small_d():
             for build in (projector, eigenbasis):
                 with pytest.raises(ValueError, match=f"d >= 2, got {d}"):
                     build(d, s)
+    cached = eigenbasis.cache_info().currsize
+    for s in (0, 2, -3):
+        for build in (projector, eigenbasis):
+            with pytest.raises(ValueError, match=f"must be \\+1 or -1, got {s}"):
+                build(3, s)
+    assert eigenbasis.cache_info().currsize == cached
 
 
 def test_eigenbasis_is_cached_read_only_and_projector_fresh():
